@@ -236,9 +236,12 @@ def cmd_forge(args):
     elif args.mode == "congruence":
         from .forge import congruence_construct
 
+        if args.coset is None:
+            raise argparse.ArgumentTypeError(
+                "--coset is required for congruence mode")
         factors = factor_xn(args.n, root, subfield_degree=args.subfield)
-        h = factors.factor_for_coset_rep(args.coset)
-        coset = next(c for _, c in factors.factors if min(c) == args.coset)
+        h, coset = next((f, c) for f, c in factors.factors
+                        if args.coset % args.n in c)
         members = [args.j] if args.j is not None else sorted(coset)
         for j in members:
             rec = congruence_construct(h, j, root, args.q)
@@ -279,8 +282,20 @@ def _row_dict(row):
     }
 
 
+def _workers():
+    text = os.environ.get("BCHBOUND_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"BCHBOUND_WORKERS must be a positive integer, not {text!r}")
+    return workers
+
+
 def cmd_reproduce(args):
-    workers = int(os.environ.get("BCHBOUND_WORKERS", "1"))
+    workers = _workers()
     golden = tables.golden_rows(args.table)
     fresh = tables.recompute(args.table, workers=workers)
     report = sys.stderr if args.emit else sys.stdout

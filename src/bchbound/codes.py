@@ -12,7 +12,7 @@ from .errors import ImproperCode, NotCosetClosed
 from .galois import RootOfUnity
 from .modring import coset_closure, cyclotomic_cosets, is_coset_closed, representative_set
 from .polyring import Poly, QuotientPoly, minimal_polynomial
-from .spectral import idft, indicator_spectrum
+from .spectral import dft, idft, indicator_spectrum
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class CyclicCode:
 
     def contains(self, c: QuotientPoly) -> bool:
         """Membership via zeros: c(alpha^i) = 0 for every i in the set."""
-        poly = c.to_poly()
-        return all(poly.eval(self.root.pow(i)).val == 0 for i in self.defining_set)
+        values = dft(c, self.root).values
+        return all(values[i] == 0 for i in self.defining_set)
 
     def json_record(self):
         rec = {

@@ -22,7 +22,7 @@ from .modring import (
     totient,
 )
 from .polyring import Poly, QuotientPoly, cyclic_shift, factor_xn, minimal_polynomial
-from .spectral import Spectrum, idft, is_rational
+from .spectral import Spectrum, dft, idft, is_rational
 from .wtdist import min_distance
 
 
@@ -92,16 +92,11 @@ def find_shift(g: Poly, root: RootOfUnity, q: int | None = None):
     if q is None:
         q = root.spec.p
     spec = root.spec
-    evals = {j: g.eval(root.pow(j)) for j in range(n)}
-    nonzero = [j for j, v in evals.items() if v.val]
+    values = dft(g, root).values
+    nonzero = [j for j in range(n) if values[j]]
     for k in range(n):
-        ok = True
-        for j in nonzero:
-            v = evals[j] * root.pow(j * k % n)
-            if (v ** q).val != v.val:
-                ok = False
-                break
-        if ok:
+        shifted = (spec.mul(values[j], root.powers[j * k % n]) for j in nonzero)
+        if all(spec.power(v, q) == v for v in shifted):
             return k
     return None
 
@@ -125,7 +120,7 @@ def congruence_construct(h: Poly, j: int, root: RootOfUnity,
         raise NotIrreducible(f"j={j} is not in the defining coset of h")
     g = quot
     val = g.eval(root.pow(j))
-    t = _dlog(root, val.val)
+    t = root.dlog(val.val)
     if t is None:
         return None
     gamma = math.gcd(q - 1, n)
@@ -136,17 +131,6 @@ def congruence_construct(h: Poly, j: int, root: RootOfUnity,
     if k is None:
         return None
     return construct_from_divisor(g, k, root, q, source="congruence")
-
-
-def _dlog(root: RootOfUnity, val: int):
-    if val == 0:
-        return None
-    acc = 1
-    for t in range(root.n):
-        if acc == val:
-            return t
-        acc = root.spec.mul(acc, root.element.val)
-    return None
 
 
 def primitive_family(m: int, root: RootOfUnity | None = None):

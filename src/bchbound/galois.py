@@ -3,7 +3,9 @@
 Elements live in a fixed extension GF(p^m) described by a FieldSpec and are
 encoded as base-p packed integers (for p = 2 this is simply the coefficient
 bitmask).  Arithmetic is plain polynomial-basis arithmetic modulo the field
-modulus; no log tables are built, so memory stays bounded for m up to 20.
+modulus.  No full-field tables are built, so memory stays bounded for m up
+to 20; each RootOfUnity keeps only an O(n) table of its own powers and the
+inverse map (discrete log on the subgroup it generates).
 """
 
 from __future__ import annotations
@@ -217,8 +219,9 @@ class FieldSpec:
         while e:
             if e & 1:
                 r = self.mul(r, a)
-            a = self.mul(a, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return r
 
     def inv(self, a: int) -> int:
@@ -245,7 +248,7 @@ class FieldSpec:
             if self.order == 2:
                 self._generator_val = 1
             else:
-                for cand in range(self.p, self.order):
+                for cand in range(2, self.order):
                     if self._has_full_order(cand):
                         self._generator_val = cand
                         break
@@ -345,8 +348,25 @@ class RootOfUnity:
     def spec(self) -> FieldSpec:
         return self.element.spec
 
+    @functools.cached_property
+    def powers(self) -> tuple:
+        """powers[t] = alpha^t as packed values, for t in [0, n); built once."""
+        mul, a = self.spec.mul, self.element.val
+        out = [1]
+        for _ in range(self.n - 1):
+            out.append(mul(out[-1], a))
+        return tuple(out)
+
+    @functools.cached_property
+    def _logs(self) -> dict:
+        return {v: t for t, v in enumerate(self.powers)}
+
     def pow(self, e: int) -> FieldElement:
-        return self.element ** (e % self.n)
+        return FieldElement(self.spec, self.powers[e % self.n])
+
+    def dlog(self, val: int):
+        """The t in [0, n) with alpha^t = val (packed); None off <alpha>."""
+        return self._logs.get(val)
 
 
 # ---------------------------------------------------------------------------

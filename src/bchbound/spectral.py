@@ -1,7 +1,15 @@
 """Discrete Fourier (Mattson-Solomon) transform over the splitting field.
 
-Spectra are length-n vectors over L; index i holds f(alpha^i).  Transforms
-are direct O(n^2) evaluations, which is exact and fast enough for n <= 2^16.
+Spectra are length-n vectors over L; index i holds f(alpha^i).  Both
+transforms read the powers of alpha from the root's table and pick one of
+two exact evaluations by their input:
+
+* input in the prime field GF(p), such as a word over GF(p), an indicator
+  spectrum or a shifted divisor: each output at a p-cyclotomic coset
+  representative is a sum of table entries (an XOR for p = 2, no field
+  multiply), and the rest of the coset follows by Frobenius,
+  out[p*i] = out[i]^p;
+* any other input: Horner evaluation at each alpha^i, O(n^2) multiplies.
 """
 
 from __future__ import annotations
@@ -9,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCosetClosed, RootMismatch
-from .galois import FieldElement, RootOfUnity
+from .galois import RootOfUnity
 from .modring import is_coset_closed
 from .polyring import Poly, QuotientPoly
 
@@ -43,35 +51,60 @@ class Spectrum:
     def __str__(self):
         if all(v in (0, 1) for v in self.values):
             return "( " + " ".join(str(v) for v in self.values) + " )"
-        return "[" + ", ".join(f"a^{_dlog(self.root, v)}" if v else "0"
+        return "[" + ", ".join(f"a^{self.root.dlog(v)}" if v else "0"
                                for v in self.values) + "]"
 
 
-def _dlog(root: RootOfUnity, val: int):
-    acc = root.spec.one().val
-    for t in range(root.n):
-        if acc == val:
-            return t
-        acc = root.spec.mul(acc, root.element.val)
-    return None
+def _transform(coeffs, root: RootOfUnity, sign: int):
+    """out[i] = sum_j coeffs[j] * alpha^(sign*i*j) for i in [0, n).
+
+    coeffs are packed values and may be longer than n.
+    """
+    spec, n, powers = root.spec, root.n, root.powers
+    p = spec.p
+    if any(c >= p for c in coeffs):
+        poly = Poly(spec, coeffs)
+        return [poly.eval(root.pow(sign * i)).val for i in range(n)]
+    # prime-field input: group the exponents by coefficient, so that
+    # out[i] = sum_c c * (sum of alpha^(sign*i*j) over j with coeffs[j] = c)
+    by_coeff = {}
+    for j, c in enumerate(coeffs):
+        if c:
+            by_coeff.setdefault(c, []).append(j)
+    add, mul = spec.add, spec.mul
+    out = [None] * n
+    for i in range(n):
+        if out[i] is not None:
+            continue
+        step = sign * i % n
+        acc = 0
+        for c, exps in by_coeff.items():
+            part = 0
+            for j in exps:
+                part = add(part, powers[step * j % n])
+            acc = add(acc, part if c == 1 else mul(c, part))
+        out[i] = acc
+        k = p * i % n
+        while k != i:  # the rest of the coset of i, by Frobenius
+            acc = spec.power(acc, p)
+            out[k] = acc
+            k = p * k % n
+    return out
 
 
 def dft(f: QuotientPoly | Poly, root: RootOfUnity) -> Spectrum:
-    """values[i] = f(alpha^i), by Horner evaluation per index."""
-    n = root.n
-    poly = f.to_poly() if isinstance(f, QuotientPoly) else f
-    vals = [poly.eval(root.pow(i)).val for i in range(n)]
-    return Spectrum(n, root, tuple(vals))
+    """values[i] = f(alpha^i)."""
+    return Spectrum(root.n, root, tuple(_transform(f.coeffs, root, 1)))
 
 
 def idft(s: Spectrum) -> QuotientPoly:
     """The unique preimage: coeff_i = (1/n) * s(alpha^-i)."""
     spec = s.root.spec
-    n = s.n
-    n_inv = spec.inv(n % spec.p)
-    as_poly = Poly(spec, s.values)
-    coeffs = [spec.mul(n_inv, as_poly.eval(s.root.pow(-i % n)).val) for i in range(n)]
-    return QuotientPoly(n, spec, tuple(coeffs))
+    n_inv = spec.inv(s.n % spec.p)
+    coeffs = _transform(s.values, s.root, -1)
+    if n_inv != 1:
+        coeffs = [spec.mul(n_inv, c) for c in coeffs]
+    return QuotientPoly(s.n, spec, tuple(coeffs))
 
 
 def is_rational(s: Spectrum, q: int | None = None) -> bool:

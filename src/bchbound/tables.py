@@ -111,7 +111,7 @@ def _recompute_coset_rows(golden, workers=1):
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(order))) as pool:
             cache = dict(zip(order, pool.map(_compute_coset_row, order)))
     else:
         cache = {key: _compute_coset_row(key) for key in order}

@@ -128,3 +128,28 @@ def test_unknown_table_is_usage_error(capsys):
         cli.main(["reproduce", "nope"])
     assert excinfo.value.code == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+def test_forge_congruence_needs_coset(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["forge", "--n", "15", "--q", "2", "--mode", "congruence"])
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert "--coset is required" in capsys.readouterr().err
+
+
+def test_forge_congruence_accepts_any_coset_member(capsys):
+    _, rep, _ = run_cli(capsys, "forge", "--n", "15", "--q", "2", "--mode",
+                        "congruence", "--coset", "1", "--json")
+    code, member, _ = run_cli(capsys, "forge", "--n", "15", "--q", "2",
+                              "--mode", "congruence", "--coset", "2", "--json")
+    assert code == 0
+    assert member == rep
+
+
+@pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", ""])
+def test_reproduce_rejects_bad_worker_count(capsys, monkeypatch, value):
+    monkeypatch.setenv("BCHBOUND_WORKERS", value)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["reproduce", "n15"])
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert "BCHBOUND_WORKERS" in capsys.readouterr().err

@@ -1,12 +1,122 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchbound.errors import CoefficientLeak, NotCosetClosed, RootMismatch
 from bchbound.galois import build_field, nth_root
 from bchbound.modring import coset_closure
-from bchbound.polyring import QuotientPoly
+from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
+
+# (n, q, m): the criterion-9 rings plus two long lengths
+SETUPS = [(15, 2, 4), (21, 2, 6), (17, 2, 8), (11, 3, 5), (121, 3, 5),
+          (255, 2, 8)]
+
+
+@functools.lru_cache(maxsize=None)
+def _root(n, q, m):
+    return nth_root(build_field(q, m), n)
+
+
+def _horner(coeffs, root, sign):
+    """Reference transform: Poly.eval at square-and-multiply powers of alpha."""
+    poly = Poly(root.spec, coeffs)
+    return tuple(poly.eval(root.element ** (sign * i % root.n)).val
+                 for i in range(root.n))
+
+
+def _horner_idft(values, root):
+    spec = root.spec
+    n_inv = spec.inv(root.n % spec.p)
+    return tuple(spec.mul(n_inv, v) for v in _horner(values, root, -1))
+
+
+def _values(top, min_size, max_size):
+    return st.lists(st.integers(0, top - 1), min_size=min_size,
+                    max_size=max_size)
+
+
+_oracle = settings(max_examples=4, deadline=None)
+
+
+@pytest.mark.parametrize("n,q,m", SETUPS)
+@_oracle
+@given(data=st.data())
+def test_transforms_match_horner_on_prime_field_input(n, q, m, data):
+    root = _root(n, q, m)
+    values = data.draw(_values(q, n, n))
+    word = QuotientPoly(n, root.spec, tuple(values))
+    assert dft(word, root).values == _horner(values, root, 1)
+    s = Spectrum(n, root, tuple(values))
+    assert idft(s).coeffs == _horner_idft(values, root)
+
+
+@pytest.mark.parametrize("n,q,m", SETUPS)
+@_oracle
+@given(data=st.data())
+def test_transforms_match_horner_on_field_valued_input(n, q, m, data):
+    root = _root(n, q, m)
+    values = data.draw(_values(root.spec.order, n, n))
+    # at least one value outside GF(q), so the Horner branch runs
+    values[data.draw(st.integers(0, n - 1))] = data.draw(
+        st.integers(q, root.spec.order - 1))
+    s = Spectrum(n, root, tuple(values))
+    assert idft(s).coeffs == _horner_idft(values, root)
+    word = QuotientPoly(n, root.spec, tuple(values))
+    assert dft(word, root).values == _horner(values, root, 1)
+
+
+@pytest.mark.parametrize("n,q,m", SETUPS)
+@_oracle
+@given(data=st.data())
+def test_dft_of_long_poly_matches_horner(n, q, m, data):
+    root = _root(n, q, m)
+    top = data.draw(st.sampled_from([q, root.spec.order]))
+    values = data.draw(_values(top, n + 1, 2 * n))
+    poly = Poly(root.spec, values)
+    assert dft(poly, root).values == _horner(values, root, 1)
+    assert dft(poly, root) == dft(QuotientPoly.from_poly(poly, n), root)
+
+
+@pytest.mark.parametrize("n,q,m", SETUPS)
+def test_transforms_of_zero(n, q, m):
+    root = _root(n, q, m)
+    zero = QuotientPoly(n, root.spec, (0,) * n)
+    assert dft(zero, root).values == (0,) * n
+    assert dft(Poly.zero(root.spec), root).values == (0,) * n
+    assert idft(Spectrum(n, root, (0,) * n)) == zero
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_transforms_at_n_equal_1(q):
+    root = nth_root(build_field(q, 1), 1)
+    for c in range(q):
+        word = QuotientPoly.from_ints(root.spec, 1, [c])
+        s = dft(word, root)
+        assert s.values == (c,)
+        assert idft(s) == word
+
+
+@pytest.mark.parametrize("n,q,m", SETUPS)
+def test_power_table_and_discrete_log(n, q, m):
+    root = _root(n, q, m)
+    for e in range(-2 * n, 0):
+        assert root.pow(e) == root.element ** (e % n)
+    for t in range(n):
+        assert root.dlog(root.pow(t).val) == t
+    assert root.dlog(0) is None
+    outside = [v for v in range(1, root.spec.order) if root.dlog(v) is None]
+    assert len(outside) == root.spec.order - 1 - n
+    assert all(root.spec.power(v, n) != 1 for v in outside[:50])
+
+
+def test_spectrum_str_names_root_powers(root15):
+    # the spectrum of the word x is (alpha^i)_i
+    s = dft(QuotientPoly.from_ints(root15.spec, 15, [0, 1]), root15)
+    assert str(s) == "[" + ", ".join(f"a^{i}" for i in range(15)) + "]"
 
 
 def _random_word(spec, n, q, rng):
