@@ -2,9 +2,10 @@
 
 The apparent distance of a vector is its longest cyclic run of zero entries
 plus one; maximized over the representative root changes a in A(n) it gives
-the BCH bound of the code.  certify_equality searches shifted divisors of
-x^n - 1 for a machine-checkable witness that the minimum distance actually
-meets that bound.
+the BCH bound of the code (runs come from modring.cyclic_runs).
+certify_equality searches shifted divisors of x^n - 1, tested by
+spectral.is_rational, for a machine-checkable witness that the minimum
+distance actually meets that bound.
 """
 
 from __future__ import annotations
@@ -13,49 +14,27 @@ from dataclasses import dataclass
 
 from .codes import CyclicCode
 from .errors import BudgetExceeded
-from .modring import cyclotomic_cosets, is_coset_closed, representative_set
-from .polyring import Poly, cyclic_shift, divisor_enumerate, factor_xn
+from .modring import cyclic_runs, cyclotomic_cosets, representative_set
+from .polyring import Poly, QuotientPoly, cyclic_shift, divisor_enumerate, factor_xn
 from .spectral import Spectrum, is_rational
 
 DEFAULT_DIVISOR_BUDGET = 10 ** 6
 
 
+def _zero_runs(coeffs):
+    return cyclic_runs((i for i, c in enumerate(coeffs) if not c), len(coeffs))
+
+
 def apparent_distance_vec(coeffs) -> int:
     """Longest cyclic run of zeros plus one; 0 for the zero vector."""
-    vals = [1 if c else 0 for c in coeffs]
-    n = len(vals)
-    if not any(vals):
+    if not any(coeffs):
         return 0
-    best = 0
-    run = 0
-    for v in vals + vals:  # doubling handles wraparound runs
-        if v:
-            run = 0
-        else:
-            run += 1
-            if run > best:
-                best = run
-    return min(best, n - 1) + 1
+    return max((length for _, length in _zero_runs(coeffs)), default=0) + 1
 
 
 def zero_runs(coeffs, length: int):
     """Start indices of maximal cyclic zero-runs of exactly the given length."""
-    vals = [1 if c else 0 for c in coeffs]
-    n = len(vals)
-    if not any(vals):
-        return []
-    out = []
-    for b in range(n):
-        if vals[b]:
-            continue
-        if not vals[(b - 1) % n]:  # previous index is zero too: not a run start
-            continue
-        run = 0
-        while not vals[(b + run) % n]:
-            run += 1
-        if run == length:
-            out.append(b)
-    return out
+    return [b for b, run in _zero_runs(coeffs) if run == length]
 
 
 @dataclass(frozen=True)
@@ -68,22 +47,23 @@ class ApparentDistanceReport:
 
 
 def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
-    """The BCH bound Delta(C) = d*(C), maximized over A(n) root changes."""
+    """The BCH bound Delta(C) = d*(C), maximized over A(n) root changes.
+
+    Seen through a, the idempotent's spectrum is zero exactly on a*D.
+    """
     n = code.n
     reps = representative_set(cyclotomic_cosets(n, code.q)).members
     per = {}
-    overall = 0
     for a in reps:
         d_a = frozenset(a * i % n for i in code.defining_set)
-        vec = [0 if i in d_a else 1 for i in range(n)]
-        dstar = apparent_distance_vec(vec)
-        per[a] = (d_a, dstar, ())
-        overall = max(overall, dstar)
-    # record the runs achieving the overall value
-    for a, (d_a, dstar, _) in per.items():
-        runs = tuple(zero_runs([0 if i in d_a else 1 for i in range(n)],
-                               overall - 1)) if dstar == overall else ()
-        per[a] = (d_a, dstar, runs)
+        runs = cyclic_runs(d_a, n)
+        per[a] = (d_a, max((length for _, length in runs), default=0) + 1, runs)
+    overall = max(dstar for _, dstar, _ in per.values())
+    # keep the starts of the runs achieving the overall value; a
+    # representative below it has no run that long
+    for a, (d_a, dstar, runs) in per.items():
+        per[a] = (d_a, dstar,
+                  tuple(b for b, length in runs if length == overall - 1))
     optimal = tuple(a for a, (_, dstar, _) in per.items() if dstar == overall)
     return ApparentDistanceReport(per, overall, optimal)
 
@@ -97,7 +77,6 @@ class Certificate:
     representative: int
 
     def codeword_spectrum(self, n):
-        from .polyring import QuotientPoly
         f = QuotientPoly.from_poly(self.divisor, n)
         return cyclic_shift(f, self.k)
 
@@ -140,26 +119,12 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET,
 def _check_divisor(code: CyclicCode, g: Poly, allowed, q):
     n = code.n
     supp = sorted(g.support())
+    f = QuotientPoly.from_poly(g, n)
     for a in sorted(allowed):
-        ok_set = allowed[a]
         for k in range(n):
-            shifted = frozenset((i + k) % n for i in supp)
-            if not shifted <= ok_set:
+            if not {(i + k) % n for i in supp} <= allowed[a]:
                 continue
-            if not _shift_is_rational(g, k, code, q):
-                continue
-            return Certificate(g, k, a)
+            s = Spectrum(n, code.root, cyclic_shift(f, k).coeffs)
+            if is_rational(s, q):
+                return Certificate(g, k, a)
     return None
-
-
-def _shift_is_rational(g: Poly, k: int, code: CyclicCode, q) -> bool:
-    n = code.n
-    spec = code.spec
-    if q == 2 and spec.p == 2 and all(c in (0, 1) for c in g.coeffs):
-        # binary divisor: rationality reduces to coset-closure of the support
-        shifted = {(i + k) % n for i in g.support()}
-        return is_coset_closed(shifted, n, q)
-    from .polyring import QuotientPoly
-    f = cyclic_shift(QuotientPoly.from_poly(g, n), k)
-    s = Spectrum(n, code.root, f.coeffs)
-    return is_rational(s, q)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -16,8 +17,9 @@ from . import tables
 from .bounds import certify_equality, code_apparent_distance
 from .codes import bose_distance, code_from_defining_set
 from .errors import BchboundError
-from .galois import build_field, nth_root, root_from_x
+from .galois import MAX_FIELD_ORDER, build_field, nth_root, root_from_x
 from .modring import (
+    MAX_N,
     coset_closure,
     cyclotomic_cosets,
     multiplicative_order,
@@ -27,6 +29,25 @@ from .polyring import Poly, factor_xn
 from .wtdist import DEFAULT_CAP, min_distance
 
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_COMPUTE = 0, 1, 2, 3
+
+
+def _is_prime(q):
+    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def _check_args(args):
+    """Reject a bad --n, --q or --cap before any computation starts."""
+    n, q = getattr(args, "n", None), getattr(args, "q", None)
+    if q is not None and not (q <= MAX_FIELD_ORDER and _is_prime(q)):
+        raise argparse.ArgumentTypeError(
+            f"--q must be a prime at most {MAX_FIELD_ORDER}, not {q}")
+    if n is not None and not 1 <= n <= MAX_N:
+        raise argparse.ArgumentTypeError(f"--n must lie in 1..{MAX_N}, not {n}")
+    if n is not None and math.gcd(n, q) != 1:
+        raise argparse.ArgumentTypeError(f"--n {n} and --q {q} must be coprime")
+    if getattr(args, "cap", 1) < 1:
+        raise argparse.ArgumentTypeError(
+            f"--cap must be a positive number of codewords, not {args.cap}")
 
 
 def _parse_field_poly(text, q):
@@ -414,9 +435,10 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "field_poly", None) is not None:
-        args.field_poly = _parse_field_poly(args.field_poly, args.q)
     try:
+        _check_args(args)
+        if getattr(args, "field_poly", None) is not None:
+            args.field_poly = _parse_field_poly(args.field_poly, args.q)
         return args.func(args)
     except argparse.ArgumentTypeError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")

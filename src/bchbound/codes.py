@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 from .errors import ImproperCode, NotCosetClosed
 from .galois import RootOfUnity
-from .modring import coset_closure, cyclotomic_cosets, is_coset_closed, representative_set
+from .modring import (coset_closure, cyclic_runs, cyclotomic_cosets,
+                      is_coset_closed, representative_set)
 from .polyring import Poly, QuotientPoly, minimal_polynomial
 from .spectral import dft, idft, indicator_spectrum
 
@@ -98,8 +99,7 @@ def bch_code(root: RootOfUnity, delta: int, b: int, q: int | None = None) -> Bch
         q = root.spec.p
     if not 2 <= delta <= n:
         raise ValueError("designed distance must satisfy 2 <= delta <= n")
-    window = [(b + j) % n for j in range(delta - 1)]
-    d = coset_closure(window, n, q)
+    d = coset_closure(range(b, b + delta - 1), n, q)
     code = code_from_defining_set(n, q, root, d)
     return BchSpec(root, delta, b % n, code)
 
@@ -108,20 +108,19 @@ def bose_distance(code: CyclicCode):
     """Largest delta' with C = B_q(alpha', delta', b'); None when not BCH.
 
     Scans every representative a in A(n) (root change alpha -> beta with
-    beta^a = alpha maps D to a*D) and every window start b.
+    beta^a = alpha maps D to a*D) and every maximal cyclic run of a*D.  A
+    window's closure only grows with the window and stays inside the closed
+    set a*D, so a window closing to a*D lies in a maximal run that does too:
+    one closure per run is enough.
     """
     n, q = code.n, code.q
     reps = representative_set(cyclotomic_cosets(n, q)).members
     best = None
     for a in reps:
         d_a = frozenset(a * i % n for i in code.defining_set)
-        for b in range(n):
-            length = 0
-            window = []
-            while length < n and (b + length) % n in d_a:
-                window.append((b + length) % n)
-                length += 1
-                if coset_closure(window, n, q) == d_a:
-                    if best is None or length + 1 > best:
-                        best = length + 1
+        for b, length in cyclic_runs(d_a, n):
+            if best is not None and length < best:
+                continue  # cannot beat the best window found so far
+            if coset_closure(range(b, b + length), n, q) == d_a:
+                best = length + 1
     return best

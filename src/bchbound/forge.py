@@ -22,7 +22,7 @@ from .modring import (
     totient,
 )
 from .polyring import Poly, QuotientPoly, cyclic_shift, factor_xn, minimal_polynomial
-from .spectral import Spectrum, dft, idft, is_rational
+from .spectral import Spectrum, idft, is_rational
 from .wtdist import min_distance
 
 
@@ -54,6 +54,15 @@ class ConstructionRecord:
                                   self.generator_word, True)
 
 
+def _rational_shift(g: Poly, k: int, root: RootOfUnity, q: int) -> Spectrum:
+    """x^k * g read as a spectrum; NotRational unless it inverts into F_q(n)."""
+    f = cyclic_shift(QuotientPoly.from_poly(g, root.n), k)
+    s = Spectrum(root.n, root, f.coeffs)
+    if not is_rational(s, q):
+        raise NotRational(f"shift k={k} leaves spectrum values outside GF({q})")
+    return s
+
+
 def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
                            q: int | None = None,
                            source: str = "divisor") -> ConstructionRecord:
@@ -66,37 +75,30 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
     n = root.n
     if q is None:
         q = root.spec.p
-    f = cyclic_shift(QuotientPoly.from_poly(g, n), k % n)
-    s = Spectrum(n, root, f.coeffs)
-    if not is_rational(s, q):
-        raise NotRational(f"shift k={k} leaves spectrum values outside GF({q})")
+    s = _rational_shift(g, k, root, q)
     word = idft(s)
     word.int_coeffs()
-    d_set = frozenset(range(n)) - f.support()
+    d_set = frozenset(range(n)) - s.support()
     code = code_from_defining_set(n, q, root, d_set)
     assert code.contains(word)
     return ConstructionRecord(source, g, k % n, code,
-                              dimension=len(f.support()),
+                              dimension=len(s.support()),
                               bch_bound=n - g.degree,
                               generator_word=word)
 
 
 def find_shift(g: Poly, root: RootOfUnity, q: int | None = None):
-    """Smallest k making every nonzero value of the shifted spectrum rational.
+    """Smallest k for which the spectrum x^k * g inverts into F_q(n).
 
-    Mirrors the evaluation method of the divisor corollary: test
-    g(alpha^j) * alpha^(jk) in GF(q) for j outside the divisor's zero set.
-    Returns None when no shift works.
+    Coefficient i of that inverse is (1/n) * alpha^(-ik) * g(alpha^(-i)) and
+    1/n lies in GF(p), so this is the divisor corollary's condition
+    g(alpha^j) * alpha^(jk) in GF(q) for every j.  Returns None when no shift
+    works.
     """
     n = root.n
-    if q is None:
-        q = root.spec.p
-    spec = root.spec
-    values = dft(g, root).values
-    nonzero = [j for j in range(n) if values[j]]
+    f = QuotientPoly.from_poly(g, n)
     for k in range(n):
-        shifted = (spec.mul(values[j], root.powers[j * k % n]) for j in nonzero)
-        if all(spec.power(v, q) == v for v in shifted):
+        if is_rational(Spectrum(n, root, cyclic_shift(f, k).coeffs), q):
             return k
     return None
 
@@ -170,24 +172,16 @@ def extend_to_bch(g: Poly, k: int, root: RootOfUnity, q: int | None = None):
     if q is None:
         q = root.spec.p
     delta = n - g.degree
-    f = cyclic_shift(QuotientPoly.from_poly(g, n), k % n)
-    s = Spectrum(n, root, f.coeffs)
-    if not is_rational(s, q):
-        raise NotRational(f"shift k={k} leaves spectrum values outside GF({q})")
-    starts = zero_runs(f.coeffs, delta - 1)
+    starts = zero_runs(_rational_shift(g, k, root, q).values, delta - 1)
     canonical = (g.degree + k + 1) % n
     starts.sort(key=lambda b: (b != canonical, b))
     out = []
     seen = set()
     for b in starts:
-        window = [(b + i) % n for i in range(delta - 1)]
-        t_set = coset_closure(window, n, q)
-        if t_set in seen:
-            continue
-        seen.add(t_set)
-        spec_code = bch_code(root, delta, b, q)
-        assert spec_code.code.defining_set == t_set
-        out.append(spec_code)
+        t_set = coset_closure(range(b, b + delta - 1), n, q)
+        if t_set not in seen:  # bch_code builds the code of this same closure
+            seen.add(t_set)
+            out.append(bch_code(root, delta, b, q))
     return out
 
 

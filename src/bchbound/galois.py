@@ -380,7 +380,7 @@ def default_modulus(p: int, m: int):
     Deterministic replacement for a hardcoded table; cached per (p, m).
     """
     if p ** m > MAX_FIELD_ORDER:
-        raise NoDefaultPolynomial(f"p^m = {p ** m} exceeds the {MAX_FIELD_ORDER} cap")
+        raise NoDefaultPolynomial(f"{p}^{m} exceeds the {MAX_FIELD_ORDER} cap")
     if m == 1:
         return (1, 1) if p == 2 else ((-_primitive_root_mod_p(p)) % p, 1)
     for packed in range(p ** m, 2 * p ** m):

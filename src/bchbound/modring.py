@@ -113,11 +113,29 @@ def representative_set(partition: CosetPartition) -> RepresentativeSet:
 
 
 def coset_closure(indices, n: int, q: int) -> frozenset:
-    """The smallest union of q-cyclotomic cosets containing the given indices."""
+    """The smallest union of q-cyclotomic cosets containing the indices mod n."""
     out = set()
     for a in indices:
         out.update(cyclotomic_coset(a, n, q))
     return frozenset(out)
+
+
+def cyclic_runs(members, n: int) -> list:
+    """(start, length) of each maximal cyclic run b, b+1, ... in a subset of Z_n.
+
+    Listed by start; a run may wrap past n - 1.  Z_n itself has no run start.
+    The one run scan behind the apparent distance and the Bose distance.
+    """
+    s = {i % n for i in members}
+    out = []
+    for b in sorted(s):
+        if (b - 1) % n in s:
+            continue
+        length = 1
+        while (b + length) % n in s:
+            length += 1
+        out.append((b, length))
+    return out
 
 
 def is_coset_closed(indices, n: int, q: int) -> bool:

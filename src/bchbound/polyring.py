@@ -17,7 +17,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .galois import FieldElement, FieldSpec, RootOfUnity, in_subfield
-from .modring import cyclotomic_cosets
+from .modring import cyclotomic_coset, cyclotomic_cosets
 
 
 class Poly:
@@ -26,8 +26,8 @@ class Poly:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        # plain ints are packed field values, not prime-field integers
-        vals = [c.val if isinstance(c, FieldElement) else c for c in coeffs]
+        # coeffs are packed field values, not prime-field integers
+        vals = list(coeffs)
         while vals and vals[-1] == 0:
             vals.pop()
         self.spec = spec
@@ -59,9 +59,6 @@ class Poly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def __getitem__(self, i):
-        return FieldElement(self.spec, self.coeffs[i] if i < len(self.coeffs) else 0)
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.spec == other.spec
@@ -150,13 +147,7 @@ class Poly:
 
     def int_coeffs(self):
         """Coefficients as prime-field integers; CoefficientLeak otherwise."""
-        out = []
-        for c in self.coeffs:
-            e = FieldElement(self.spec, c)
-            if not in_subfield(e, 1):
-                raise CoefficientLeak(f"coefficient {e!r} outside the prime field")
-            out.append(_prime_value(e))
-        return out
+        return _int_coeffs(self.spec, self.coeffs)
 
     def exponents(self):
         """Ascending exponents of the nonzero terms (CLI serialization)."""
@@ -170,9 +161,14 @@ class Poly:
             return f"Poly(deg {self.degree} over GF({self.spec.p}^{self.spec.m}))"
 
 
-def _prime_value(e: FieldElement) -> int:
-    # A prime-field constant packs as its own integer value for any p.
-    return e.val % e.spec.p if e.spec.m >= 1 else e.val
+def _int_coeffs(spec: FieldSpec, coeffs) -> list:
+    # In the polynomial basis GF(p) is exactly the packed values 0, ..., p - 1,
+    # each its own prime-field integer.
+    for c in coeffs:
+        if c >= spec.p:
+            raise CoefficientLeak(
+                f"coefficient {FieldElement(spec, c)!r} outside the prime field")
+    return list(coeffs)
 
 
 @dataclass(frozen=True)
@@ -217,17 +213,8 @@ class QuotientPoly:
         return QuotientPoly.from_poly(prod, self.n)
 
     def int_coeffs(self):
-        return QuotientPoly._int_coeffs(self)
-
-    @staticmethod
-    def _int_coeffs(qp):
-        out = []
-        for c in qp.coeffs:
-            e = FieldElement(qp.spec, c)
-            if not in_subfield(e, 1):
-                raise CoefficientLeak(f"coefficient {e!r} outside the prime field")
-            out.append(_prime_value(e))
-        return out
+        """Coefficients as prime-field integers; CoefficientLeak otherwise."""
+        return _int_coeffs(self.spec, self.coeffs)
 
 
 def cyclic_shift(f: QuotientPoly, h: int) -> QuotientPoly:
@@ -253,7 +240,6 @@ def minimal_polynomial(root: RootOfUnity, s: int, q: int | None = None) -> Poly:
     spec = root.spec
     if q is None:
         q = spec.p
-    from .modring import cyclotomic_coset
     coset = cyclotomic_coset(s, root.n, q)
     out = Poly.one(spec)
     for j in coset:
@@ -291,7 +277,7 @@ def factor_xn(n: int, root: RootOfUnity, subfield_degree: int = 1) -> FactorList
     p = spec.p
     if n % p == 0:
         raise NotCoprime(f"gcd({n}, {p}) > 1")
-    if spec.m % subfield_degree != 0:
+    if subfield_degree < 1 or spec.m % subfield_degree != 0:
         from .errors import InvalidSubfield
         raise InvalidSubfield(f"{subfield_degree} does not divide {spec.m}")
     qd = p ** subfield_degree

@@ -10,6 +10,9 @@ two exact evaluations by their input:
   multiply), and the rest of the coset follows by Frobenius,
   out[p*i] = out[i]^p;
 * any other input: Horner evaluation at each alpha^i, O(n^2) multiplies.
+
+is_rational, the one rationality test, decides whether a spectrum inverts
+into F_q(n); certificates and shifted-divisor constructions both use it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotCosetClosed, RootMismatch
-from .galois import RootOfUnity
+from .galois import RootOfUnity, poly_str
 from .modring import is_coset_closed
 from .polyring import Poly, QuotientPoly
 
@@ -51,8 +54,14 @@ class Spectrum:
     def __str__(self):
         if all(v in (0, 1) for v in self.values):
             return "( " + " ".join(str(v) for v in self.values) + " )"
-        return "[" + ", ".join(f"a^{self.root.dlog(v)}" if v else "0"
-                               for v in self.values) + "]"
+        return "[" + ", ".join(self._value_str(v) for v in self.values) + "]"
+
+    def _value_str(self, v):
+        """a^t for v = alpha^t, else v in the field's polynomial basis."""
+        t = self.root.dlog(v)
+        if t is not None:
+            return f"a^{t}"
+        return f"({poly_str(self.root.spec.decode(v))})" if v else "0"
 
 
 def _transform(coeffs, root: RootOfUnity, sign: int):
@@ -108,13 +117,14 @@ def idft(s: Spectrum) -> QuotientPoly:
 
 
 def is_rational(s: Spectrum, q: int | None = None) -> bool:
-    """True iff idft(s) lands in F_q(n): values[q*i mod n] = values[i]^q."""
+    """True iff idft(s) lands in F_q(n): values[q*i mod n] = values[i]^q
+    (a value v < p lies in GF(p), so it is its own q-th power)."""
     spec = s.root.spec
     if q is None:
         q = spec.p
-    n = s.n
-    return all(s.values[q * i % n] == spec.power(v, q)
-               for i, v in enumerate(s.values))
+    n, p, values = s.n, spec.p, s.values
+    return all(values[q * i % n] == (v if v < p else spec.power(v, q))
+               for i, v in enumerate(values))
 
 
 def indicator_spectrum(n: int, defining_set, root: RootOfUnity,

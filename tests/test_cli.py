@@ -153,3 +153,38 @@ def test_reproduce_rejects_bad_worker_count(capsys, monkeypatch, value):
         cli.main(["reproduce", "n15"])
     assert excinfo.value.code == cli.EXIT_USAGE
     assert "BCHBOUND_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cosets", "--n", "15", "--q", "4"], "--q must be a prime"),
+    (["analyze", "--n", "15", "--q", "4", "--defining-set", "coset:1"],
+     "--q must be a prime"),
+    (["cosets", "--n", "15", "--q", "1"], "--q must be a prime"),
+    (["analyze", "--n", "15", "--q", "6", "--defining-set", "coset:1"],
+     "--q must be a prime"),
+    (["cosets", "--n", "0", "--q", "2"], "--n must lie in"),
+    (["cosets", "--n", "70000", "--q", "3"], "--n must lie in"),
+    (["factor", "--n", "14", "--q", "2"], "must be coprime"),
+    (["mindist", "--n", "15", "--q", "2", "--defining-set", "coset:1",
+      "--cap", "0"], "--cap must be a positive"),
+    (["mindist", "--n", "13", "--q", "3", "--defining-set", "coset:1",
+      "--cap", "-5"], "--cap must be a positive"),
+    (["factor", "--n", "15", "--q", "2", "--field-poly", "x"],
+     "bad field polynomial"),
+])
+def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["factor", "--n", "15", "--q", "2", "--subfield", "0"], "InvalidSubfield"),
+    (["mindist", "--n", "65536", "--q", "3", "--defining-set", "1"],
+     "NoDefaultPolynomial"),  # GF(3^16384) is past the field-size cap
+])
+def test_unsupported_inputs_are_named_errors(capsys, argv, error):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_COMPUTE
+    assert err.startswith(f"error: {error}")

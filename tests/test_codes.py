@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -9,7 +10,13 @@ from bchbound.codes import (
     idempotent_generator,
 )
 from bchbound.errors import ImproperCode, NotCosetClosed
-from bchbound.modring import coset_closure
+from bchbound.galois import build_field, nth_root
+from bchbound.modring import (
+    coset_closure,
+    cyclotomic_cosets,
+    multiplicative_order,
+    representative_set,
+)
 from bchbound.polyring import QuotientPoly
 from bchbound.spectral import dft
 
@@ -102,3 +109,37 @@ def test_json_record_round_trips(root21):
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
     assert rec["dimension"] == 10
     assert rec["defining_set"] == sorted(code.defining_set)
+
+
+def _bose_distance_by_prefixes(code):
+    """Reference: test the closure of every prefix of every window."""
+    n, q = code.n, code.q
+    best = None
+    for a in representative_set(cyclotomic_cosets(n, q)).members:
+        d_a = frozenset(a * i % n for i in code.defining_set)
+        for b in range(n):
+            length = 0
+            window = []
+            while length < n and (b + length) % n in d_a:
+                window.append((b + length) % n)
+                length += 1
+                if coset_closure(window, n, q) == d_a:
+                    if best is None or length + 1 > best:
+                        best = length + 1
+    return best
+
+
+def _closed_set_codes(n, q):
+    """The code of every proper coset-closed defining set mod n."""
+    root = nth_root(build_field(q, multiplicative_order(q, n)), n)
+    cosets = cyclotomic_cosets(n, q).cosets
+    sets = (frozenset().union(*chosen)
+            for r in range(len(cosets))
+            for chosen in itertools.combinations(cosets, r))
+    return [code_from_defining_set(n, q, root, d) for d in sets]
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (33, 2), (13, 3)])
+def test_bose_distance_matches_prefix_oracle(n, q):
+    for code in _closed_set_codes(n, q):
+        assert bose_distance(code) == _bose_distance_by_prefixes(code)

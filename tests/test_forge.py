@@ -11,7 +11,9 @@ from bchbound.forge import (
     record_for_bch,
 )
 from bchbound.modring import totient
-from bchbound.polyring import Poly, factor_xn
+from bchbound.galois import build_field, nth_root
+from bchbound.polyring import Poly, divisor_enumerate, factor_xn
+from bchbound.spectral import dft
 from bchbound.wtdist import min_distance
 
 
@@ -127,3 +129,24 @@ def test_extension_codes_are_bch(root15):
     g = xn1 // factors.factor_for_coset_rep(1)
     for spec in extend_to_bch(g, 1, root15):
         assert bose_distance(spec.code) >= spec.delta
+
+
+def _find_shift_by_evaluation(g, root):
+    """Reference: smallest k with g(alpha^j) * alpha^(jk) in GF(p) for all j."""
+    n, spec = root.n, root.spec
+    values = dft(g, root).values
+    nonzero = [j for j in range(n) if values[j]]
+    for k in range(n):
+        shifted = (spec.mul(values[j], root.powers[j * k % n]) for j in nonzero)
+        if all(spec.power(v, spec.p) == v for v in shifted):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("n,m", [(15, 4), (21, 6)])
+@pytest.mark.parametrize("subfield_degree", [1, 2])
+def test_find_shift_matches_evaluation_oracle(n, m, subfield_degree):
+    root = nth_root(build_field(2, m), n)
+    factors = factor_xn(n, root, subfield_degree=subfield_degree)
+    for g, _ in divisor_enumerate(factors):
+        assert find_shift(g, root) == _find_shift_by_evaluation(g, root)

@@ -114,6 +114,14 @@ def test_in_subfield():
     assert in_subfield(spec.one(), 1)
 
 
+@pytest.mark.parametrize("p,m", [(2, 8), (3, 5)])
+def test_prime_field_is_the_small_packed_values(p, m):
+    # the basis int_coeffs and is_rational rely on: GF(p) packs as 0..p-1
+    spec = build_field(p, m)
+    for v in range(spec.order):
+        assert in_subfield(FieldElement(spec, v), 1) == (v < p)
+
+
 def test_poly_str():
     assert poly_str((1, 1, 0, 0, 1)) == "x^4 + x + 1"
     assert poly_str((0, 1)) == "x"

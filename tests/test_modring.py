@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bchbound.errors import NotCoprime
 from bchbound.modring import (
     coset_closure,
+    cyclic_runs,
     cyclotomic_coset,
     cyclotomic_cosets,
     is_coset_closed,
@@ -91,3 +94,27 @@ def test_solve_linear_congruence_random():
         else:
             assert x in brute
             assert x == min(brute)
+
+
+def _brute_force_runs(members, n):
+    """Every (b, length) with b..b+length-1 inside the set, both ends outside."""
+    s = set(members)
+    out = []
+    for b in range(n):
+        for length in range(1, n):
+            window = {(b + j) % n for j in range(length)}
+            if (window <= s and (b - 1) % n not in s
+                    and (b + length) % n not in s):
+                out.append((b, length))
+    return out
+
+
+@given(st.integers(1, 24).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1)))))
+@example((7, set()))
+@example((7, set(range(7))))
+@example((1, {0}))
+@example((6, {5, 0, 1, 3}))
+def test_cyclic_runs_matches_brute_force(case):
+    n, members = case
+    assert cyclic_runs(members, n) == _brute_force_runs(members, n)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchbound.errors import CoefficientLeak, NotCosetClosed, RootMismatch
-from bchbound.galois import build_field, nth_root
+from bchbound.galois import build_field, nth_root, poly_str
 from bchbound.modring import coset_closure
 from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
@@ -119,6 +119,21 @@ def test_spectrum_str_names_root_powers(root15):
     assert str(s) == "[" + ", ".join(f"a^{i}" for i in range(15)) + "]"
 
 
+def test_spectrum_str_spells_values_off_the_root_powers():
+    # 1 + x + x^3 at an order-17 root of GF(2^8): some values are not in <a>
+    root = nth_root(build_field(2, 8), 17)
+    s = dft(Poly.from_ints(root.spec, [1, 1, 0, 1]), root)
+    text = str(s)
+    assert text.startswith("[a^0, (") and "None" not in text
+    entries = text[1:-1].split(", ")
+    for v, entry in zip(s.values, entries):
+        t = root.dlog(v)
+        if t is None:
+            assert entry == f"({poly_str(root.spec.decode(v))})"
+        else:
+            assert entry == f"a^{t}"
+
+
 def _random_word(spec, n, q, rng):
     return QuotientPoly.from_ints(spec, n, [rng.randrange(q) for _ in range(n)])
 
@@ -160,19 +175,28 @@ def test_dft_of_xn_coset_structure(root21):
                                                            s.values[i])
 
 
-def test_is_rational_matches_int_coeffs(root15):
+def test_is_rational_matches_int_coeffs(root15, root11_3):
     rng = random.Random(306)
-    spec = root15.spec
-    for _ in range(100):
-        values = tuple(rng.randrange(spec.order) for _ in range(15))
-        s = Spectrum(15, root15, values)
-        f = idft(s)
-        try:
-            f.int_coeffs()
-            landed = True
-        except CoefficientLeak:
-            landed = False
-        assert is_rational(s, 2) == landed
+    spec16 = root15.spec
+    gf4 = [v for v in range(spec16.order) if spec16.power(v, 4) == v]
+    cases = [(root15, 2, range(spec16.order)),             # all of GF(16)
+             (root15, 2, gf4),                              # GF(4) values
+             (root11_3, 3, range(root11_3.spec.order))]     # ternary root
+    for root, q, pool in cases:
+        n = root.n
+        spectra = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(100)]
+        # and spectra of words over GF(q), which are always rational
+        spectra += [dft(_random_word(root.spec, n, q, rng), root).values
+                    for _ in range(20)]
+        for values in spectra:
+            s = Spectrum(n, root, values)
+            f = idft(s)
+            try:
+                f.int_coeffs()
+                landed = True
+            except CoefficientLeak:
+                landed = False
+            assert is_rational(s, q) == landed
 
 
 def test_indicator_spectrum_is_idempotent(root21):
