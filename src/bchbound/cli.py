@@ -233,8 +233,14 @@ def _forge_divisor(args, root):
         raise argparse.ArgumentTypeError(
             "--quotient is required for divisor and extend modes")
     g = factors.full_product()
+    removed = []
     for rep in args.quotient:
-        g = g // factors.factor_for_coset_rep(rep)
+        f = factors.factor_for_coset_rep(rep)
+        if f in removed:  # g would not divide x^n - 1
+            raise argparse.ArgumentTypeError(
+                f"--quotient names the factor of C({rep % args.n}) twice")
+        removed.append(f)
+        g = g // f
     k = args.shift
     if k is None:
         k = find_shift(g, root, args.q)
@@ -273,9 +279,9 @@ def cmd_forge(args):
         from .forge import primitive_family
 
         m = args.n.bit_length()
-        if args.n != (1 << m) - 1 or args.q != 2:
+        if args.n != (1 << m) - 1 or m < 2 or args.q != 2:
             raise argparse.ArgumentTypeError(
-                "primitive mode needs q = 2 and n = 2^m - 1")
+                "primitive mode needs q = 2 and n = 2^m - 1 with m >= 2")
         records = primitive_family(m, root)
     if args.verify:
         records = [rec.verify() for rec in records]

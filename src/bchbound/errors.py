@@ -49,6 +49,10 @@ class NotIrreducible(BchboundError):
     """Polynomial expected to be irreducible is not."""
 
 
+class NotPrimitiveLength(BchboundError):
+    """The primitive family needs n = 2^m - 1 with m >= 2."""
+
+
 class NotRational(BchboundError):
     """Shifted divisor has spectrum values outside the base field."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bounds import code_apparent_distance, zero_runs
 from .codes import BchSpec, CyclicCode, bch_code, code_from_defining_set
-from .errors import NotIrreducible, NotRational
+from .errors import NotIrreducible, NotPrimitiveLength, NotRational
 from .galois import RootOfUnity, build_field, nth_root
 from .modring import (
     coset_closure,
@@ -141,7 +141,7 @@ def primitive_family(m: int, root: RootOfUnity | None = None):
     Returns exactly phi(n)/m records with pairwise distinct defining sets.
     """
     if m < 2:
-        raise ValueError("m must be >= 2")
+        raise NotPrimitiveLength(f"m must be >= 2, not {m}")
     n = (1 << m) - 1
     if root is None:
         root = nth_root(build_field(2, m), n)

@@ -1,15 +1,17 @@
 """Discrete Fourier (Mattson-Solomon) transform over the splitting field.
 
-Spectra are length-n vectors over L; index i holds f(alpha^i).  Both
-transforms read the powers of alpha from the root's table and pick one of
-two exact evaluations by their input:
+Spectra are length-n vectors over L = GF(p^m); index i holds f(alpha^i).
+Both transforms take one path for every input, built on the root's table
+of alpha-powers:
 
-* input in the prime field GF(p), such as a word over GF(p), an indicator
-  spectrum or a shifted divisor: each output at a p-cyclotomic coset
-  representative is a sum of table entries (an XOR for p = 2, no field
-  multiply), and the rest of the coset follows by Frobenius,
-  out[p*i] = out[i]^p;
-* any other input: Horner evaluation at each alpha^i, O(n^2) multiplies.
+* a prime-field vector (every value in GF(p), such as a word over GF(p),
+  an indicator spectrum or a shifted divisor) is summed from the table:
+  each output at a p-cyclotomic coset representative is a sum of table
+  entries (an XOR for p = 2), and the rest of the coset follows by
+  Frobenius, out[p*i] = out[i]^p;
+* an L-valued vector is split into its m prime-field coordinate vectors,
+  each summed as above; by GF(p)-linearity the m results recombine
+  exactly (see _transform).
 
 is_rational, the one rationality test, decides whether a spectrum inverts
 into F_q(n); certificates and shifted-divisor constructions both use it.
@@ -67,14 +69,29 @@ class Spectrum:
 def _transform(coeffs, root: RootOfUnity, sign: int):
     """out[i] = sum_j coeffs[j] * alpha^(sign*i*j) for i in [0, n).
 
-    coeffs are packed values and may be longer than n.
+    coeffs are packed values and may be longer than n.  Writing each value
+    as v = sum_k d_k * xbar^k, with digits d_k = spec.decode(v)[k] in GF(p)
+    and xbar the residue of x, splits coeffs into m prime-field vectors
+    c_0, ..., c_(m-1).  The transform T is GF(p)-linear, so
+    T(coeffs)[i] = sum_k T(c_k)[i] * xbar^k: a polynomial of degree < m in
+    xbar with coefficients T(c_k)[i], evaluated by Horner.  Prime-field
+    input is its own single coordinate vector and needs no recombination.
     """
+    spec = root.spec
+    if all(c < spec.p for c in coeffs):
+        return _prime_transform(coeffs, root, sign)
+    digits = [spec.decode(c) for c in coeffs]
+    parts = [_prime_transform([d[k] for d in digits], root, sign)
+             for k in range(spec.m)]
+    xbar = spec.x()
+    return [Poly(spec, column).eval(xbar).val for column in zip(*parts)]
+
+
+def _prime_transform(coeffs, root: RootOfUnity, sign: int):
+    """_transform for coeffs in GF(p), from the table of alpha-powers."""
     spec, n, powers = root.spec, root.n, root.powers
     p = spec.p
-    if any(c >= p for c in coeffs):
-        poly = Poly(spec, coeffs)
-        return [poly.eval(root.pow(sign * i)).val for i in range(n)]
-    # prime-field input: group the exponents by coefficient, so that
+    # group the exponents by coefficient, so that
     # out[i] = sum_c c * (sum of alpha^(sign*i*j) over j with coeffs[j] = c)
     by_coeff = {}
     for j, c in enumerate(coeffs):

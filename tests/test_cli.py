@@ -171,6 +171,10 @@ def test_reproduce_rejects_bad_worker_count(capsys, monkeypatch, value):
       "--cap", "-5"], "--cap must be a positive"),
     (["factor", "--n", "15", "--q", "2", "--field-poly", "x"],
      "bad field polynomial"),
+    (["forge", "--n", "1", "--q", "2", "--mode", "primitive"],
+     "primitive mode needs"),
+    (["forge", "--n", "7", "--q", "2", "--mode", "divisor", "--quotient",
+      "1,4", "--verify"], "names the factor of C(4) twice"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

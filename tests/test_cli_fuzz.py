@@ -1,0 +1,76 @@
+"""Fuzz the command line: every input either works or fails by contract.
+
+Commands run in-process through ``cli.main``.  An exception other than
+SystemExit is what the ``bchbound`` command would print as a traceback, so
+it fails the test; the exit code must be 0, 2 (usage) or 3 (computation).
+The examples are derandomized, so the suite sees the same inputs each run.
+"""
+
+import contextlib
+import io
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bchbound import cli
+
+_ints = st.integers(-70, 140).map(str)
+_junk = st.text(alphabet="0123456789,:- xcoset", max_size=8)
+
+
+def _int_list(prefix=""):
+    return st.lists(_ints, min_size=1, max_size=4).map(
+        lambda xs: prefix + ",".join(xs))
+
+
+# well-formed strings outnumber malformed ones, so that most inputs get
+# past argument checking and into the computation
+_defining_sets = st.one_of(_int_list("coset:"), _int_list(), _junk,
+                           st.sampled_from(("", "coset:")))
+_quotients = st.one_of(_int_list(), _int_list(), _junk)
+_cosets = st.one_of(_ints, _ints, _junk)
+_subfields = st.one_of(st.integers(-1, 6).map(str), _junk)
+# q from -1..7, drawn from the primes half of the time
+_qs = st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers(-1, 7))
+
+_FORGE_MODES = ("divisor", "extend", "congruence", "primitive")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ("cosets", "factor", "analyze", "mindist")
+        + tuple(f"forge:{mode}" for mode in _FORGE_MODES)))
+    n = draw(st.integers(-2, 64))
+    q = draw(_qs)
+    name, _, mode = command.partition(":")
+    argv = [name, f"--n={n}", f"--q={q}"]
+    if name in ("analyze", "mindist"):
+        argv.append(f"--defining-set={draw(_defining_sets)}")
+    if name == "mindist":
+        argv.append("--cap=1000")
+    if name == "forge":
+        argv.append(f"--mode={mode}")
+        if draw(st.booleans()):
+            argv.append(f"--quotient={draw(_quotients)}")
+        if draw(st.booleans()):
+            argv.append(f"--coset={draw(_cosets)}")
+    if name in ("factor", "forge") and draw(st.booleans()):
+        argv.append(f"--subfield={draw(_subfields)}")
+    return argv
+
+
+def _exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+@example(argv=["forge", "--n=1", "--q=2", "--mode=primitive"])
+def test_cli_exits_by_contract(argv):
+    assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)

@@ -1,7 +1,7 @@
 import pytest
 
 from bchbound.codes import bose_distance
-from bchbound.errors import NotIrreducible, NotRational
+from bchbound.errors import NotIrreducible, NotPrimitiveLength, NotRational
 from bchbound.forge import (
     congruence_construct,
     construct_from_divisor,
@@ -90,6 +90,9 @@ def test_primitive_family_counts():
         for rec in records:
             assert rec.bch_bound == n - rec.divisor.degree
             assert rec.verify().verified
+    for m in (1, 0):
+        with pytest.raises(NotPrimitiveLength):
+            primitive_family(m)
 
 
 def test_extend_to_bch_n15(root15):

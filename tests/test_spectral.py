@@ -11,9 +11,10 @@ from bchbound.modring import coset_closure
 from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
 
-# (n, q, m): the criterion-9 rings plus two long lengths
+# (n, q, m): the criterion-9 rings, two long lengths and two fields whose
+# coordinate vectors carry digits 2..p-1
 SETUPS = [(15, 2, 4), (21, 2, 6), (17, 2, 8), (11, 3, 5), (121, 3, 5),
-          (255, 2, 8)]
+          (255, 2, 8), (24, 5, 2), (16, 7, 2)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -22,7 +23,11 @@ def _root(n, q, m):
 
 
 def _horner(coeffs, root, sign):
-    """Reference transform: Poly.eval at square-and-multiply powers of alpha."""
+    """Reference transform: Poly.eval at square-and-multiply powers of alpha.
+
+    The library splits L-valued input into prime-field coordinate vectors;
+    this O(n^2) evaluation shares none of that and is the oracle for it.
+    """
     poly = Poly(root.spec, coeffs)
     return tuple(poly.eval(root.element ** (sign * i % root.n)).val
                  for i in range(root.n))
@@ -60,13 +65,34 @@ def test_transforms_match_horner_on_prime_field_input(n, q, m, data):
 def test_transforms_match_horner_on_field_valued_input(n, q, m, data):
     root = _root(n, q, m)
     values = data.draw(_values(root.spec.order, n, n))
-    # at least one value outside GF(q), so the Horner branch runs
+    # at least one value outside GF(q), so the coordinates are recombined
     values[data.draw(st.integers(0, n - 1))] = data.draw(
         st.integers(q, root.spec.order - 1))
     s = Spectrum(n, root, tuple(values))
     assert idft(s).coeffs == _horner_idft(values, root)
     word = QuotientPoly(n, root.spec, tuple(values))
     assert dft(word, root).values == _horner(values, root, 1)
+
+
+@pytest.mark.parametrize("n,q,m", SETUPS)
+@_oracle
+@given(data=st.data())
+def test_transforms_keep_the_basis_order(n, q, m, data):
+    # T(xbar^k * w) = xbar^k * T(w) for a prime-field w: coordinate k of
+    # the input comes back as coordinate k of the output
+    root = _root(n, q, m)
+    spec = root.spec
+    w = data.draw(_values(q, n, n))
+    word_s = dft(QuotientPoly(n, spec, tuple(w)), root).values
+    back = idft(Spectrum(n, root, tuple(w))).coeffs
+    xk = 1
+    for _ in range(m):
+        scaled = tuple(spec.mul(xk, c) for c in w)
+        assert dft(QuotientPoly(n, spec, scaled), root).values == tuple(
+            spec.mul(xk, v) for v in word_s)
+        assert idft(Spectrum(n, root, scaled)).coeffs == tuple(
+            spec.mul(xk, c) for c in back)
+        xk = spec.mul(xk, spec.x().val)
 
 
 @pytest.mark.parametrize("n,q,m", SETUPS)
