@@ -1,12 +1,3 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-try:
-    from Cython.Build import cythonize
-    ext_modules = cythonize(
-        [Extension("bchbound._graywalk", ["src/bchbound/_graywalk.pyx"])],
-        language_level=3,
-    )
-except ImportError:  # build still works; the pure-Python kernel takes over
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -47,7 +47,7 @@ def _check_args(args):
         raise argparse.ArgumentTypeError(f"--n {n} and --q {q} must be coprime")
     if getattr(args, "cap", 1) < 1:
         raise argparse.ArgumentTypeError(
-            f"--cap must be a positive number of codewords, not {args.cap}")
+            f"--cap must be a positive number of combinations, not {args.cap}")
 
 
 def _parse_field_poly(text, q):
@@ -67,7 +67,12 @@ def _parse_field_poly(text, q):
 def _make_root(n, q, field_poly=None):
     """Primitive n-th root plus a JSON-friendly description of it."""
     if field_poly is not None:
-        spec = build_field(q, len(field_poly) - 1, field_poly)
+        m = len(field_poly) - 1
+        if pow(q, m, n) != 1 % n:
+            raise argparse.ArgumentTypeError(
+                f"--field-poly has degree m = {m}, and n = {n} does not "
+                f"divide q^m - 1 = {q}^{m} - 1")
+        spec = build_field(q, m, field_poly)
         try:
             root = root_from_x(spec, n)
             return root, {"min_poly": _poly_exponents(field_poly)}
@@ -194,14 +199,16 @@ def cmd_analyze(args):
 def cmd_mindist(args):
     code, alpha_info = _build_code(args)
     rec, report = _code_record(code, alpha_info)
-    res = min_distance(code, cap=args.cap)
+    res = min_distance(code, cap=args.cap, stop_at=report.overall)
     rec["min_distance"] = res.distance
     rec["exhaustive"] = res.exhaustive
-    qualifier = "" if res.exhaustive else " (upper bound, cap reached)"
+    rec["lower_bound"] = res.lower_bound
+    qualifier = ("exact" if res.exhaustive
+                 else f"upper bound; d >= {res.lower_bound}")
     lines = [
         f"[{code.n},{code.dimension}] code over GF({code.q})",
-        f"minimum distance: {res.distance}{qualifier} "
-        f"after {res.enumerated} words",
+        f"minimum distance: {res.distance} ({qualifier}) "
+        f"after {res.enumerated} combinations",
         f"BCH bound:        {report.overall}",
     ]
     _emit(args, rec, lines)
@@ -403,10 +410,11 @@ def build_parser():
                      help="search for a divisor certificate of d = bound")
     sub.set_defaults(func=cmd_analyze)
 
-    sub = subs.add_parser("mindist", help="brute-force minimum distance")
+    sub = subs.add_parser("mindist", help="exact minimum distance")
     _add_code_args(sub)
     sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                     help="enumeration budget in codewords")
+                     help="search budget in combinations (messages "
+                          "visited)")
     sub.set_defaults(func=cmd_mindist)
 
     sub = subs.add_parser("forge", help="build codes whose distance meets "

@@ -76,7 +76,7 @@ def _complement_reps(n, q, complement):
 def _measure(code, complement=None):
     """(complement reps, dim, d, bch bound, bose) for a cyclic code.
 
-    The distance walk stops once a word of weight <= the BCH bound shows up;
+    The distance search stops once a word of weight <= the BCH bound shows up;
     the bound is a proven lower bound, so the early exit is still exact.
     """
     delta = code_apparent_distance(code).overall

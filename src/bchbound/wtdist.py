@@ -1,107 +1,131 @@
-"""Exact minimum distance by exhaustive codeword enumeration.
+"""Exact minimum distance by a Brouwer-Zimmermann search.
 
-Ground truth for every d(C) claim.  Binary codes walk the information-word
-space in Gray order over packed generator rows; the hot loop runs in the
-compiled extension when available and in a pure-Python twin otherwise.
+The method is Zimmermann's (1996), as described by Grassl in "Searching for
+linear codes with large minimum distance" (2006), specialised to cyclic
+codes.  In a cyclic [n, k] code any k cyclically consecutive positions form
+an information set, and the systematic generator matrices on those windows
+are rotations of one another.  So messages of weight w = 1, 2, ... are
+visited on one systematic matrix only: a codeword of weight at most w on
+some window has a rotation among the words visited, of the same weight.
+Once weight w is done, a codeword lighter than every word seen has weight
+at least w + 1 on each of the n windows, and each position lies in k of
+them, so its weight is at least ceil(n (w + 1) / k).  The search stops when
+that lower bound, or a proven one passed as stop_at, meets the lightest
+word seen.  For q > 2 the first nonzero message symbol is fixed to 1, since
+scalar multiples have the same weight.
+
+Binary words are packed ints (XOR, then bit_count); odd q uses int lists.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import repeat
 
 from .codes import CyclicCode
 from .polyring import QuotientPoly
 
-try:
-    from . import _graywalk as _kernel
-    HAVE_COMPILED_KERNEL = True
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _graywalk_py as _kernel
-    HAVE_COMPILED_KERNEL = False
-
-from . import _graywalk_py as _pykernel
-
 DEFAULT_CAP = 1 << 30
+
+# No compiled kernel is left; perfbench's worker still imports the flag.
+HAVE_COMPILED_KERNEL = False
 
 
 @dataclass(frozen=True)
 class DistanceResult:
-    distance: int
+    distance: int  # weight of the witness: an upper bound on d
     witness: tuple  # coefficient vector over GF(q), length n
-    enumerated: int
-    exhaustive: bool
+    enumerated: int  # messages visited
+    exhaustive: bool  # d is proven: lower_bound == distance
+    lower_bound: int
 
 
 def generator_rows(code: CyclicCode):
-    """k shift-rows of the generator polynomial, as prime-field int vectors."""
-    g = code.generator.int_coeffs()
-    n, k = code.n, code.dimension
+    """Systematic generator rows as prime-field int vectors.
+
+    Row i is x^(n-k+i) - (x^(n-k+i) mod g): its only nonzero symbol among
+    the k information positions n-k, ..., n-1 is a 1 at n-k+i.
+    """
+    n, k, q = code.n, code.dimension, code.q
+    r = n - k
+    tail = code.generator.int_coeffs()[:r]  # g is monic: x^r = -tail mod g
+    rem = [-c % q for c in tail]  # x^r mod g
     rows = []
     for i in range(k):
-        row = [0] * n
-        for j, c in enumerate(g):
-            row[(i + j) % n] = c
+        row = [-c % q for c in rem] + [0] * k
+        row[r + i] = 1
         rows.append(row)
+        if r:  # rem <- x * rem mod g
+            top = rem[-1]
+            rem = [(a - top * t) % q for a, t in zip([0] + rem[:-1], tail)]
     return rows
 
 
 def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP,
-                 stop_at: int = 0, force_python: bool = False) -> DistanceResult:
-    """Enumerate all q^k - 1 nonzero codewords, tracking minimum weight.
+                 stop_at: int = 0) -> DistanceResult:
+    """d(C) by visiting messages in order of weight until the bounds meet.
 
-    When q^k - 1 exceeds the cap the walk is truncated and the result is an
-    upper bound only (exhaustive=False).  A nonzero stop_at ends the walk as
-    soon as a codeword of weight <= stop_at is found; this is exact whenever
-    stop_at is a proven lower bound such as the BCH bound.
+    cap bounds the messages visited.  When it runs out first, distance is
+    the lightest weight seen and lower_bound what was proven so far
+    (exhaustive=False).  A nonzero stop_at is taken as a proven lower bound
+    such as the BCH bound: the search ends at the first word of weight <=
+    stop_at.
     """
     n, k, q = code.n, code.dimension, code.q
     if k < 1:
         raise ValueError("dimension must be >= 1")
-    if q == 2:
-        return _min_distance_binary(code, cap, stop_at, force_python)
-    return _min_distance_generic(code, cap, stop_at)
-
-
-def _min_distance_binary(code, cap, stop_at, force_python):
-    n, k = code.n, code.dimension
-    rows = [sum(c << i for i, c in enumerate(row)) for row in generator_rows(code)]
-    total = (1 << k) - 1
-    limit = min(total, cap)
-    kernel = _pykernel if (force_python or n > 63) else _kernel
-    best, word, visited = kernel.gray_min_weight(rows, limit, stop_at)
-    witness = tuple((word >> i) & 1 for i in range(n))
-    exhaustive = visited >= total or (stop_at and best <= stop_at)
-    return DistanceResult(best, witness, visited, bool(exhaustive))
-
-
-def _min_distance_generic(code, cap, stop_at):
-    n, k, q = code.n, code.dimension, code.q
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     rows = generator_rows(code)
-    best = n + 1
-    witness = None
-    visited = 0
-    exhaustive = True
-    for info in itertools.product(range(q), repeat=k):
-        if not any(info):
-            continue
-        if visited >= cap:
-            exhaustive = False
+    step = q - 1  # row i times 1, ..., q - 1 is mults[step*i:step*i + step]
+    if q == 2:
+        mults = [sum(c << i for i, c in enumerate(row)) for row in rows]
+        zero, add, weight = 0, int.__xor__, int.bit_count
+    else:
+        mults = [[c * a % q for a in row] for row in rows for c in range(1, q)]
+        zero = [0] * n
+        add = lambda u, v: [(a + b) % q for a, b in zip(u, v)]
+        weight = lambda u: n - u.count(0)
+    best, word, visited = n + 1, None, 0
+    lower = max(stop_at, -(-n // k))  # a nonzero codeword meets every window
+
+    def visit(acc, tail):
+        """Weigh acc + v for each v in tail; False once the search is over."""
+        nonlocal best, word, visited
+        tail = tail[:cap - visited]
+        visited += len(tail)
+        weights = list(map(weight, map(add, repeat(acc), tail)))
+        low = min(weights)
+        if low < best:
+            best, word = low, add(acc, tail[weights.index(low)])
+        return best > lower and visited < cap
+
+    def walk(acc, start, depth):
+        """Visit acc plus every sum of depth more row multiples from start."""
+        if depth == 1:
+            return visit(acc, mults[step * start:])
+        for i in range(start, k - depth + 1):
+            for v in mults[step * i:step * i + step]:
+                if not walk(add(acc, v), i + 1, depth - 1):
+                    return False
+        return True
+
+    for w in range(1, k + 1):
+        if w == 1:  # the first symbol of a message is 1
+            going = visit(zero, mults[::step])
+        else:
+            going = all(walk(mults[step * i], i + 1, w - 1)
+                        for i in range(k - w + 1))
+        if not going:
             break
-        visited += 1
-        word = [0] * n
-        for coef, row in zip(info, rows):
-            if coef:
-                for i, c in enumerate(row):
-                    word[i] = (word[i] + coef * c) % q
-        w = sum(1 for c in word if c)
-        if w < best:
-            best = w
-            witness = tuple(word)
-            if stop_at and w <= stop_at:
-                break
-    return DistanceResult(best, witness, visited,
-                          exhaustive or bool(stop_at and best <= stop_at))
+        lower = max(lower, -(-n * (w + 1) // k))
+        if best <= lower:
+            break
+    if best <= lower:
+        lower = best
+    if q == 2:
+        word = [(word >> i) & 1 for i in range(n)]
+    return DistanceResult(best, tuple(word), visited, lower == best, lower)
 
 
 def witness_in_code(code: CyclicCode, result: DistanceResult) -> bool:

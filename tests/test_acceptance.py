@@ -4,7 +4,6 @@ The status lines are written to the real stderr so they stay visible under
 pytest's capture. Every numeric check is exact.
 """
 
-import os
 import random
 import sys
 
@@ -21,7 +20,7 @@ from bchbound.galois import build_field, nth_root, root_from_x
 from bchbound.modring import coset_closure, cyclotomic_cosets
 from bchbound.polyring import Poly, QuotientPoly, divisor_enumerate, factor_xn
 from bchbound.spectral import Spectrum, dft, idft
-from bchbound.wtdist import HAVE_COMPILED_KERNEL, min_distance
+from bchbound.wtdist import min_distance
 
 
 def _report(num, desc, ok):
@@ -43,12 +42,12 @@ def test_criterion_1_small_codes_table():
         comp = coset_closure(row.complement_reps, row.n, row.q)
         code = code_from_defining_set(row.n, row.q, root,
                                       frozenset(range(row.n)) - comp)
-        res = min_distance(code)   # full enumeration, no early exit
+        res = min_distance(code)   # no stop_at: d is proven by the search
         if not res.exhaustive or (code.dimension, res.distance) != \
                 (row.dimension, row.min_distance):
             ok = False
             break
-    _report(1, "length <= 31 table: dimension and exhaustive distance "
+    _report(1, "length <= 31 table: dimension and proven distance "
                f"match on all {len(seen)} distinct rows", ok)
 
 
@@ -84,16 +83,14 @@ def test_criterion_4_n45_chain():
         and min_distance(sub).distance == 5
     specs = {(s.b, s.delta): s for s in extend_to_bch(g, k, root)}
     ext_ok = {(1, 5), (16, 5)} <= set(specs)
-    full = HAVE_COMPILED_KERNEL or os.environ.get("BCHBOUND_FULL_ENUM") == "1"
     for key in ((1, 5), (16, 5)):
         code = specs[key].code
         delta = code_apparent_distance(code).overall
         ext_ok = ext_ok and code.dimension == 29 and delta == 5
-        res = min_distance(code, cap=1 << 30,
-                           stop_at=0 if full else delta)
-        ext_ok = ext_ok and res.distance == 5
+        res = min_distance(code)   # no stop_at: d is proven by the search
+        ext_ok = ext_ok and res.exhaustive and res.distance == 5
     _report(4, "n=45 chain: dims 21/25/29 all with bound = d = 5 "
-               f"(k=29 enumeration {'full' if full else 'bound-gated'})",
+               "(k=29 distances proven without the bound)",
             base_ok and sub_ok and ext_ok)
 
 
@@ -108,7 +105,7 @@ def test_criterion_5_n33_extension():
     ext_ok = (first.b, first.delta, first.code.dimension) == (31, 3, 23)
     res = min_distance(first.code)
     _report(5, "n=33: extension B(alpha,3,31) of dim 23 generated by "
-               "x^22+x^11+1, exhaustive d = 3",
+               "x^22+x^11+1, proven d = 3",
             word_ok and ext_ok and res.exhaustive and res.distance == 3)
 
 
@@ -137,10 +134,10 @@ def test_criterion_8_primitive_family():
         ok = ok and len(records) == want
         for rec in records:
             res = min_distance(rec.code)
-            ok = ok and res.distance == rec.bch_bound == \
-                code_apparent_distance(rec.code).overall
+            ok = ok and res.exhaustive and res.distance == rec.bch_bound \
+                == code_apparent_distance(rec.code).overall
     _report(8, "primitive family sizes 2 (m=4) and 6 (m=5), each with "
-               "d = bound by full enumeration", ok)
+               "d = bound proven without the bound", ok)
 
 
 def _random_word(spec, n, q, rng):

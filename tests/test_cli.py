@@ -72,6 +72,21 @@ def test_mindist(capsys):
     assert payload["dimension"] == 7
     assert payload["min_distance"] == 5
     assert payload["exhaustive"] is True
+    assert payload["lower_bound"] == 5
+
+
+def test_mindist_cap_reports_both_bounds(capsys):
+    argv = ["mindist", "--n", "41", "--q", "2", "--defining-set", "coset:1"]
+    code, out, _ = run_cli(capsys, *argv, "--cap", "100", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["exhaustive"] is False
+    assert 6 <= payload["lower_bound"] <= 9 <= payload["min_distance"]
+    _, out, _ = run_cli(capsys, *argv, "--cap", "100")
+    assert f"(upper bound; d >= {payload['lower_bound']}) after 100 " \
+        "combinations" in out
+    _, out, _ = run_cli(capsys, *argv)
+    assert "minimum distance: 9 (exact)" in out
 
 
 def test_forge_divisor(capsys):
@@ -92,6 +107,16 @@ def test_forge_primitive(capsys):
                            "--mode", "primitive", "--json")
     payload = json.loads(out)
     assert len(payload["records"]) == 2
+
+
+def test_forge_primitive_127_verifies(capsys):
+    code, out, _ = run_cli(capsys, "forge", "--n", "127", "--q", "2",
+                           "--mode", "primitive", "--verify", "--json")
+    records = json.loads(out)["records"]
+    assert code == 0
+    assert len(records) == 18
+    assert all(r["verified"] and r["min_distance"] == r["bch_bound"]
+               for r in records)
 
 
 def test_usage_error_exit_code(capsys):
@@ -175,6 +200,9 @@ def test_reproduce_rejects_bad_worker_count(capsys, monkeypatch, value):
      "primitive mode needs"),
     (["forge", "--n", "7", "--q", "2", "--mode", "divisor", "--quotient",
       "1,4", "--verify"], "names the factor of C(4) twice"),
+    (["analyze", "--n", "13", "--q", "3", "--field-poly", "1,0",
+      "--defining-set", "coset:1"],
+     "--field-poly has degree m = 1, and n = 13 does not divide q^m - 1"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

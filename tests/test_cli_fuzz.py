@@ -30,6 +30,10 @@ _defining_sets = st.one_of(_int_list("coset:"), _int_list(), _junk,
 _quotients = st.one_of(_int_list(), _int_list(), _junk)
 _cosets = st.one_of(_ints, _ints, _junk)
 _subfields = st.one_of(st.integers(-1, 6).map(str), _junk)
+_field_polys = st.one_of(
+    st.lists(st.integers(0, 8), min_size=1, max_size=4).map(
+        lambda es: ",".join(map(str, sorted(set(es) | {0}, reverse=True)))),
+    _junk)
 # q from -1..7, drawn from the primes half of the time
 _qs = st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers(-1, 7))
 
@@ -57,6 +61,8 @@ def _argv(draw):
             argv.append(f"--coset={draw(_cosets)}")
     if name in ("factor", "forge") and draw(st.booleans()):
         argv.append(f"--subfield={draw(_subfields)}")
+    if name != "cosets" and draw(st.integers(0, 3)) == 0:
+        argv.append(f"--field-poly={draw(_field_polys)}")
     return argv
 
 
@@ -72,5 +78,7 @@ def _exit_code(argv):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argv=_argv())
 @example(argv=["forge", "--n=1", "--q=2", "--mode=primitive"])
+@example(argv=["analyze", "--n=13", "--q=3", "--field-poly=1,0",
+               "--defining-set=coset:1"])
 def test_cli_exits_by_contract(argv):
     assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)

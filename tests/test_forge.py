@@ -95,6 +95,12 @@ def test_primitive_family_counts():
             primitive_family(m)
 
 
+def test_verify_out_of_cap_is_unverified_not_a_disproof():
+    rec = primitive_family(5)[1]  # its first message weighs 9, Delta = 5
+    assert rec.verify(cap=1).verified is False
+    assert rec.verify().verified
+
+
 def test_extend_to_bch_n15(root15):
     factors, xn1 = _quotients(root15, 15)
     g3 = xn1 // factors.factor_for_coset_rep(1)

@@ -1,11 +1,21 @@
+import functools
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bchbound import wtdist
 from bchbound.codes import code_from_defining_set
 from bchbound.galois import build_field, nth_root
-from bchbound.modring import coset_closure, cyclotomic_cosets
+from bchbound.modring import (
+    coset_closure,
+    cyclotomic_cosets,
+    multiplicative_order,
+)
+from bchbound.polyring import QuotientPoly
 from bchbound.wtdist import generator_rows, min_distance, witness_in_code
 
 
@@ -13,6 +23,156 @@ def _code(n, q, reps, m):
     root = nth_root(build_field(q, m), n)
     d = coset_closure(reps, n, q)
     return code_from_defining_set(n, q, root, d)
+
+
+@functools.lru_cache(maxsize=None)
+def _root(n, q):
+    return nth_root(build_field(q, multiplicative_order(q, n)), n)
+
+
+def _code_spanned_by(n, q, complement_reps):
+    """The cyclic code whose nonzeros are the cosets of complement_reps."""
+    comp = coset_closure(complement_reps, n, q)
+    d_set = frozenset(range(n)) - comp
+    return code_from_defining_set(n, q, _root(n, q), d_set)
+
+
+# --- the brute-force oracle: every nonzero message, rows = shifts of g ---
+
+def _shift_rows(code):
+    """k shift-rows of the generator polynomial, as prime-field int vectors."""
+    g = code.generator.int_coeffs()
+    n, k = code.n, code.dimension
+    rows = []
+    for i in range(k):
+        row = [0] * n
+        for j, c in enumerate(g):
+            row[(i + j) % n] = c
+        rows.append(row)
+    return rows
+
+
+def _gray_min_weight(rows, limit):
+    """Walk nonzero packed-row combinations 1..limit in Gray order."""
+    acc = 0
+    best = 1 << 30
+    cnt = 0
+    while cnt < limit:
+        cnt += 1
+        acc ^= rows[(cnt & -cnt).bit_length() - 1]
+        best = min(best, acc.bit_count())
+    return best
+
+
+def _product_min_weight(rows, n, q):
+    best = n + 1
+    for info in itertools.product(range(q), repeat=len(rows)):
+        if not any(info):
+            continue
+        word = [0] * n
+        for coef, row in zip(info, rows):
+            if coef:
+                for i, c in enumerate(row):
+                    word[i] = (word[i] + coef * c) % q
+        best = min(best, sum(1 for c in word if c))
+    return best
+
+
+def _brute_force_distance(code):
+    rows = _shift_rows(code)
+    if code.q == 2:
+        packed = [sum(c << i for i, c in enumerate(row)) for row in rows]
+        return _gray_min_weight(packed, (1 << len(rows)) - 1)
+    return _product_min_weight(rows, code.n, code.q)
+
+
+def _check_result(code, res, d, cap=wtdist.DEFAULT_CAP):
+    assert res.enumerated <= cap
+    assert res.lower_bound <= d <= res.distance
+    assert res.exhaustive == (res.lower_bound == res.distance)
+    assert len(res.witness) == code.n
+    assert sum(1 for c in res.witness if c) == res.distance
+    assert witness_in_code(code, res)
+
+
+# lengths with r = n mod k both zero and nonzero, over small splitting fields
+_SETUPS = [(7, 2), (9, 2), (15, 2), (17, 2), (21, 2), (23, 2), (31, 2),
+           (4, 3), (8, 3), (10, 3), (11, 3), (13, 3), (16, 3), (20, 3),
+           (26, 3), (6, 5), (8, 5), (12, 5), (13, 5), (24, 5),
+           (8, 7), (9, 7), (12, 7), (16, 7), (19, 7)]
+# the oracle visits q^k - 1 messages, so k stays small for odd q
+_MAX_DIM = {2: 16, 3: 7, 5: 4, 7: 4}
+
+
+@st.composite
+def _random_codes(draw):
+    n, q = draw(st.sampled_from(_SETUPS))
+    cosets = cyclotomic_cosets(n, q).cosets
+    order = draw(st.permutations(range(len(cosets))))
+    take = draw(st.integers(1, len(cosets)))
+    reps, dim = [], 0
+    for idx in order[:take]:
+        if dim + len(cosets[idx]) <= _MAX_DIM[q]:
+            reps.append(cosets[idx][0])
+            dim += len(cosets[idx])
+    if not reps:
+        reps = [0]
+    return _code_spanned_by(n, q, reps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(code=_random_codes(), data=st.data())
+def test_bz_matches_brute_force(code, data):
+    d = _brute_force_distance(code)
+    res = min_distance(code)
+    assert res.exhaustive and res.distance == d
+    _check_result(code, res, d)
+    # a proven lower bound only ends the search sooner
+    stop_at = data.draw(st.integers(0, d), label="stop_at")
+    early = min_distance(code, stop_at=stop_at)
+    assert early.exhaustive and early.distance == d
+    assert early.enumerated <= res.enumerated
+    _check_result(code, early, d)
+    cap = data.draw(st.integers(1, 300), label="cap")
+    _check_result(code, min_distance(code, cap=cap), d, cap)
+
+
+@pytest.mark.parametrize("n,q,complement_reps", [
+    (7, 2, [0]),                 # k = 1: the repetition code
+    (13, 3, [0]),
+    (7, 2, [0, 1, 3]),           # k = n: every word
+    (4, 3, [0, 1, 2]),
+    (15, 2, [0, 1]),             # k = 5 divides n = 15
+    (8, 3, [1, 2]),              # k = 4 divides n = 8
+    (15, 2, [0, 1, 5]),          # k = 7, r = 1
+    (8, 3, [0, 1]),              # k = 3, r = 2
+    (13, 5, [0, 1]),             # k = 5, r = 3
+    (26, 3, [1, 2]),             # [26,6,15] and [24,6,14]: the search runs
+    (24, 5, [1, 2, 7]),          # through every message of weight 3
+])
+def test_edge_dimensions_match_brute_force(n, q, complement_reps):
+    code = _code_spanned_by(n, q, complement_reps)
+    d = _brute_force_distance(code)
+    res = min_distance(code)
+    assert res.exhaustive and res.distance == d
+    _check_result(code, res, d)
+    if code.dimension == 1:
+        assert d == n
+    if code.dimension == n:
+        assert d == 1
+
+
+@pytest.mark.parametrize("n,q,complement_reps", [
+    (26, 3, [1, 2]), (24, 5, [1, 2, 7]), (16, 7, [0, 1, 2, 3])])
+def test_search_visits_each_light_message_once(n, q, complement_reps):
+    # these codes need every message of weight <= 3 whose first nonzero
+    # symbol is 1, and no heavier one
+    code = _code_spanned_by(n, q, complement_reps)
+    k = code.dimension
+    res = min_distance(code)
+    assert res.exhaustive
+    assert res.enumerated == sum(math.comb(k, j) * (q - 1) ** (j - 1)
+                                 for j in (1, 2, 3))
 
 
 def test_known_binary_distances():
@@ -54,26 +214,14 @@ def test_witness_membership_random():
             assert sum(1 for c in res.witness if c) == res.distance
 
 
-def test_kernel_and_python_agree():
-    rng = random.Random(89)
-    for n, m in [(15, 4), (17, 8), (21, 6)]:
-        reps = cyclotomic_cosets(n, 2).representatives
-        for _ in range(5):
-            chosen = [r for r in reps if rng.random() < 0.5]
-            d = coset_closure(chosen, n, 2)
-            if not d or len(d) == n:
-                continue
-            code = _code(n, 2, chosen, m)
-            fast = min_distance(code)
-            slow = min_distance(code, force_python=True)
-            assert fast.distance == slow.distance
-            assert fast.enumerated == slow.enumerated
-
-
 def test_generator_rows_shape():
-    code = _code(15, 2, [1, 3], 4)
-    rows = generator_rows(code)
-    assert len(rows) == code.dimension
+    for code in (_code(15, 2, [1, 3], 4), _code(13, 3, [1], 3)):
+        n, k = code.n, code.dimension
+        rows = generator_rows(code)
+        assert len(rows) == k
+        for i, row in enumerate(rows):
+            assert row[n - k:] == [int(j == i) for j in range(k)]
+            assert code.contains(QuotientPoly.from_ints(code.spec, n, row))
 
 
 def test_stop_at_early_exit_is_consistent():
@@ -86,11 +234,14 @@ def test_stop_at_early_exit_is_consistent():
 
 
 def test_cap_limits_enumeration():
-    code = _code(23, 2, [1], 11)        # 2^12 codewords
-    res = min_distance(code, cap=100)
-    assert not res.exhaustive
-    assert res.enumerated <= 100
-    assert res.distance >= 7            # an upper-bound estimate, never below d
+    code = _code(23, 2, [1], 11)        # [23,12,7] Golay
+    for cap in (1, 12, 100):
+        res = min_distance(code, cap=cap)
+        assert not res.exhaustive
+        assert res.enumerated <= cap
+        assert res.lower_bound <= 7 <= res.distance
+    with pytest.raises(ValueError):
+        min_distance(code, cap=0)
 
 
 def test_compiled_kernel_flag_is_bool():
