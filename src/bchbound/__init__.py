@@ -30,17 +30,16 @@ from .galois import FieldElement, FieldSpec, RootOfUnity, build_field, nth_root,
 from .modring import coset_closure, cyclotomic_cosets, representative_set
 from .polyring import Poly, QuotientPoly, factor_xn, minimal_polynomial
 from .spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
-from .wtdist import DistanceResult, HAVE_COMPILED_KERNEL, min_distance
+from .wtdist import DistanceResult, min_distance
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ApparentDistanceReport", "BchSpec", "BchboundError", "Certificate",
     "ConstructionRecord", "CyclicCode", "DistanceResult", "FieldElement",
-    "FieldSpec", "HAVE_COMPILED_KERNEL", "Poly", "QuotientPoly",
-    "RootOfUnity", "Spectrum", "apparent_distance_vec", "bch_code",
-    "bose_distance", "build_field", "certify_equality",
-    "code_apparent_distance", "code_from_defining_set",
+    "FieldSpec", "Poly", "QuotientPoly", "RootOfUnity", "Spectrum",
+    "apparent_distance_vec", "bch_code", "bose_distance", "build_field",
+    "certify_equality", "code_apparent_distance", "code_from_defining_set",
     "congruence_construct", "construct_from_divisor", "coset_closure",
     "cyclotomic_cosets", "dft", "extend_to_bch", "factor_xn", "find_shift",
     "idempotent_generator", "idft", "indicator_spectrum", "is_rational",

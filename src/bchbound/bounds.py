@@ -81,38 +81,32 @@ class Certificate:
         return cyclic_shift(f, self.k)
 
 
-def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET,
-                     subfield_degrees=(1,)):
+def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     """Search for (g, k, a) certifying d(C) = Delta(C); None if none exists.
 
-    Divisors g | x^n - 1 of degree n - Delta are scanned over GF(q) first,
-    then over the requested subfields of L; for each, every shift k and every
-    optimal representative a is checked for support containment in
-    Z_n \\ a*D and base-field rationality of the shifted spectrum.
-    Raises BudgetExceeded when the scan is truncated rather than finished.
+    Divisors g | x^n - 1 over GF(q) of degree n - Delta are scanned; for
+    each, every shift k and every optimal representative a is checked for
+    support containment in Z_n \\ a*D and base-field rationality of the
+    shifted spectrum.  Raises BudgetExceeded when the scan is truncated
+    rather than finished.
     """
     report = code_apparent_distance(code)
-    delta = report.overall
     n, q = code.n, code.q
-    target_deg = n - delta
+    target_deg = n - report.overall
     allowed = {a: frozenset(range(n)) - d_a
                for a, (d_a, dstar, _) in report.per_representative.items()
                if a in report.optimal_reps}
     spent = 0
-    for d in sorted(subfield_degrees):
-        factors = factor_xn(n, code.root, subfield_degree=d)
-        remaining = budget - spent
-        if remaining <= 0:
-            raise BudgetExceeded(f"divisor budget {budget} exhausted")
-        try:
-            for g, _roots in divisor_enumerate(factors, target_deg, budget=remaining):
-                spent += 1
-                cert = _check_divisor(code, g, allowed, q)
-                if cert is not None:
-                    return cert
-        except BudgetExceeded:
-            raise BudgetExceeded(
-                f"divisor budget {budget} exhausted after {spent} candidates")
+    try:
+        for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
+                                           budget=budget):
+            spent += 1
+            cert = _check_divisor(code, g, allowed, q)
+            if cert is not None:
+                return cert
+    except BudgetExceeded:
+        raise BudgetExceeded(
+            f"divisor budget {budget} exhausted after {spent} candidates")
     return None
 
 

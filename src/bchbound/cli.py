@@ -1,8 +1,7 @@
 """Command line front end: analysis, construction, distance, reproduction.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 usage error,
-3 computational error. BCHBOUND_WORKERS sets the worker count used when
-reproducing the coset tables.
+3 computational error.
 """
 
 from __future__ import annotations
@@ -10,14 +9,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import tables
 from .bounds import certify_equality, code_apparent_distance
 from .codes import bose_distance, code_from_defining_set
 from .errors import BchboundError
-from .galois import MAX_FIELD_ORDER, build_field, nth_root, root_from_x
+from .galois import (
+    MAX_FIELD_ORDER,
+    build_field,
+    exceeds_field_cap,
+    nth_root,
+    root_from_x,
+)
 from .modring import (
     MAX_N,
     coset_closure,
@@ -58,6 +62,10 @@ def _parse_field_poly(text, q):
     if not exps or exps[-1] != 0:
         raise argparse.ArgumentTypeError(
             "field polynomial needs a constant term (exponent 0)")
+    if exceeds_field_cap(q, exps[0]):
+        raise argparse.ArgumentTypeError(
+            f"--field-poly has degree m = {exps[0]}, and q^m = {q}^{exps[0]} "
+            f"exceeds the field-order cap {MAX_FIELD_ORDER}")
     coeffs = [0] * (exps[0] + 1)
     for e in exps:
         coeffs[e] = 1
@@ -316,22 +324,9 @@ def _row_dict(row):
     }
 
 
-def _workers():
-    text = os.environ.get("BCHBOUND_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"BCHBOUND_WORKERS must be a positive integer, not {text!r}")
-    return workers
-
-
 def cmd_reproduce(args):
-    workers = _workers()
     golden = tables.golden_rows(args.table)
-    fresh = tables.recompute(args.table, workers=workers)
+    fresh = tables.recompute(args.table)
     report = sys.stderr if args.emit else sys.stdout
     failures = 0
     for idx, (want, got) in enumerate(zip(golden, fresh)):

@@ -121,11 +121,10 @@ def congruence_construct(h: Poly, j: int, root: RootOfUnity,
     quot, rem = xn1.divmod(h)
     if not rem.is_zero():
         raise NotIrreducible("h does not divide x^n - 1")
-    if h.eval(root.pow(j)).val != 0:
+    if h.eval(root.pow(j)) != 0:
         raise NotIrreducible(f"j={j} is not in the defining coset of h")
     g = quot
-    val = g.eval(root.pow(j))
-    t = root.dlog(val.val)
+    t = root.dlog(g.eval(root.pow(j)))
     if t is None:
         return None
     gamma = math.gcd(q - 1, n)

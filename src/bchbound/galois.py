@@ -24,6 +24,12 @@ from .errors import (
 MAX_FIELD_ORDER = 1 << 24
 
 
+def exceeds_field_cap(p: int, m: int) -> bool:
+    """True iff p^m > MAX_FIELD_ORDER, without forming p^m for a huge m."""
+    # p >= 2, so every m past the cap's bit length exceeds it
+    return m >= MAX_FIELD_ORDER.bit_length() or p ** m > MAX_FIELD_ORDER
+
+
 # ---------------------------------------------------------------------------
 # GF(p)[x] helpers on little-endian int lists (used for modulus validation).
 # ---------------------------------------------------------------------------
@@ -133,6 +139,9 @@ class FieldSpec:
                  "_generator_val", "x_is_primitive", "_inv_cache")
 
     def __init__(self, p: int, m: int, modulus):
+        if exceeds_field_cap(p, m):
+            raise RejectedModulus(
+                f"GF({p}^{m}) exceeds the field-order cap {MAX_FIELD_ORDER}")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != m + 1 or modulus[-1] == 0:
             raise RejectedModulus(f"modulus must be monic of degree {m}")
@@ -151,8 +160,7 @@ class FieldSpec:
             self._mod_mask = None
         self._group_factors = _prime_factors(self.order - 1) if self.order > 2 else []
         self._generator_val = None
-        x_val = self.encode([0, 1]) if m > 1 else (-modulus[0]) % p
-        self.x_is_primitive = self.order == 2 or self._has_full_order(x_val)
+        self.x_is_primitive = self.order == 2 or self._has_full_order(self.x())
         self._inv_cache = {}
 
     # -- encoding ----------------------------------------------------------
@@ -235,7 +243,7 @@ class FieldSpec:
         return cached
 
     def _has_full_order(self, val) -> bool:
-        if val in (None, 0):
+        if val == 0:
             return False
         for r in self._group_factors:
             if self.power(val, (self.order - 1) // r) == 1:
@@ -256,27 +264,21 @@ class FieldSpec:
                     raise RejectedModulus("no primitive element found")
         return self._generator_val
 
-    # -- element construction ------------------------------------------------
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, self.encode(coeffs))
-
-    def from_int(self, c: int) -> "FieldElement":
-        """Embed an integer as a prime-field constant."""
-        return FieldElement(self, c % self.p)
-
-    def x(self) -> "FieldElement":
-        """The residue of x, as a field element."""
+    def x(self) -> int:
+        """The residue of x, packed."""
         if self.m == 1:
             # x reduces to a constant: -modulus[0]
-            return FieldElement(self, (-self.modulus[0]) % self.p)
-        return FieldElement(self, self.encode([0, 1]))
+            return (-self.modulus[0]) % self.p
+        return self.encode([0, 1])
+
+    def in_subfield(self, v: int, d: int) -> bool:
+        """True iff the packed value v lies in GF(p^d), for d dividing m."""
+        if d < 1 or self.m % d != 0:
+            raise InvalidSubfield(f"{d} does not divide {self.m}")
+        if d == 1:
+            # GF(p) packs as the constants 0, ..., p - 1
+            return v < self.p
+        return self.power(v, self.p ** d) == v
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec)
@@ -361,8 +363,9 @@ class RootOfUnity:
     def _logs(self) -> dict:
         return {v: t for t, v in enumerate(self.powers)}
 
-    def pow(self, e: int) -> FieldElement:
-        return FieldElement(self.spec, self.powers[e % self.n])
+    def pow(self, e: int) -> int:
+        """alpha^e, packed."""
+        return self.powers[e % self.n]
 
     def dlog(self, val: int):
         """The t in [0, n) with alpha^t = val (packed); None off <alpha>."""
@@ -379,7 +382,7 @@ def default_modulus(p: int, m: int):
 
     Deterministic replacement for a hardcoded table; cached per (p, m).
     """
-    if p ** m > MAX_FIELD_ORDER:
+    if exceeds_field_cap(p, m):
         raise NoDefaultPolynomial(f"{p}^{m} exceeds the {MAX_FIELD_ORDER} cap")
     if m == 1:
         return (1, 1) if p == 2 else ((-_primitive_root_mod_p(p)) % p, 1)
@@ -439,25 +442,18 @@ def root_from_x(spec: FieldSpec, n: int) -> RootOfUnity:
     This is how a root with a prescribed minimal polynomial is fixed: build
     the field with that polynomial as modulus, then x-bar is the root.
     """
-    root = RootOfUnity(spec.x(), n)
+    root = RootOfUnity(FieldElement(spec, spec.x()), n)
     _check_order(root)
     return root
 
 
 def _check_order(root: RootOfUnity):
-    z, n = root.element, root.n
-    if z.val == 0 or (z ** n).val != 1:
+    spec, z, n = root.spec, root.element.val, root.n
+    if z == 0 or spec.power(z, n) != 1:
         raise OrderUnavailable(f"element is not an n-th root for n={n}")
     for r in _prime_factors(n):
-        if (z ** (n // r)).val == 1:
+        if spec.power(z, n // r) == 1:
             raise OrderUnavailable(f"element order properly divides {n}")
-
-
-def in_subfield(a: FieldElement, d: int) -> bool:
-    """True iff a lies in GF(p^d), for d dividing m (Frobenius-fixed test)."""
-    if d < 1 or a.spec.m % d != 0:
-        raise InvalidSubfield(f"{d} does not divide {a.spec.m}")
-    return (a ** (a.spec.p ** d)).val == a.val
 
 
 def poly_str(coeffs) -> str:

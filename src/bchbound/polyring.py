@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded,
     CoefficientLeak,
+    InvalidSubfield,
     NotCoprime,
     ZeroPolynomial,
 )
-from .galois import FieldElement, FieldSpec, RootOfUnity, in_subfield
+from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import cyclotomic_coset, cyclotomic_cosets
 
 
@@ -132,12 +133,13 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def eval(self, point: FieldElement) -> FieldElement:
+    def eval(self, point: int) -> int:
+        """The value at a packed point, packed."""
         s = self.spec
         acc = 0
         for c in reversed(self.coeffs):
-            acc = s.add(s.mul(acc, point.val), c)
-        return FieldElement(s, acc)
+            acc = s.add(s.mul(acc, point), c)
+        return acc
 
     def support(self):
         return frozenset(i for i, c in enumerate(self.coeffs) if c)
@@ -154,7 +156,6 @@ class Poly:
         return sorted(self.support())
 
     def __repr__(self):
-        from .galois import poly_str
         try:
             return f"Poly({poly_str(self.int_coeffs())})"
         except CoefficientLeak:
@@ -167,7 +168,7 @@ def _int_coeffs(spec: FieldSpec, coeffs) -> list:
     for c in coeffs:
         if c >= spec.p:
             raise CoefficientLeak(
-                f"coefficient {FieldElement(spec, c)!r} outside the prime field")
+                f"coefficient {poly_str(spec.decode(c))} outside the prime field")
     return list(coeffs)
 
 
@@ -232,21 +233,29 @@ def gcd_with_xn(f: QuotientPoly) -> Poly:
     return f.to_poly().gcd(Poly.xn_minus_1(f.spec, f.n))
 
 
+def _coset_product(root: RootOfUnity, coset, d: int) -> Poly:
+    """prod over j in coset of (x - alpha^j), computed in L.
+
+    Raises CoefficientLeak unless every coefficient lies in GF(p^d), which
+    happens only on a wrong field setup.
+    """
+    spec = root.spec
+    out = Poly.one(spec)
+    for j in coset:
+        out = out * Poly(spec, [spec.neg(root.pow(j)), 1])
+    if not all(spec.in_subfield(c, d) for c in out.coeffs):
+        raise CoefficientLeak(f"factor coefficient escapes GF({spec.p}^{d})")
+    return out
+
+
 def minimal_polynomial(root: RootOfUnity, s: int, q: int | None = None) -> Poly:
     """min_q(alpha^s) = prod over the q-coset of s of (x - alpha^j).
 
     Computed in L; every coefficient is verified to lie in GF(q) (q prime).
     """
-    spec = root.spec
     if q is None:
-        q = spec.p
-    coset = cyclotomic_coset(s, root.n, q)
-    out = Poly.one(spec)
-    for j in coset:
-        aj = root.pow(j)
-        out = out * Poly(spec, [spec.neg(aj.val), 1])
-    out.int_coeffs()  # raises CoefficientLeak on a wrong field setup
-    return out
+        q = root.spec.p
+    return _coset_product(root, cyclotomic_coset(s, root.n, q), 1)
 
 
 @dataclass(frozen=True)
@@ -278,21 +287,11 @@ def factor_xn(n: int, root: RootOfUnity, subfield_degree: int = 1) -> FactorList
     if n % p == 0:
         raise NotCoprime(f"gcd({n}, {p}) > 1")
     if subfield_degree < 1 or spec.m % subfield_degree != 0:
-        from .errors import InvalidSubfield
         raise InvalidSubfield(f"{subfield_degree} does not divide {spec.m}")
     qd = p ** subfield_degree
     part = cyclotomic_cosets(n, qd)
-    factors = []
-    for coset in part.cosets:
-        f = Poly.one(spec)
-        for j in coset:
-            aj = root.pow(j)
-            f = f * Poly(spec, [spec.neg(aj.val), 1])
-        for c in f.coeffs:
-            if not in_subfield(FieldElement(spec, c), subfield_degree):
-                raise CoefficientLeak(
-                    f"factor coefficient escapes GF({p}^{subfield_degree})")
-        factors.append((f, frozenset(coset)))
+    factors = [(_coset_product(root, coset, subfield_degree), frozenset(coset))
+               for coset in part.cosets]
     factors.sort(key=lambda fc: min(fc[1]))
     return FactorList(n, spec, subfield_degree, tuple(factors))
 

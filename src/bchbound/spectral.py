@@ -84,7 +84,7 @@ def _transform(coeffs, root: RootOfUnity, sign: int):
     parts = [_prime_transform([d[k] for d in digits], root, sign)
              for k in range(spec.m)]
     xbar = spec.x()
-    return [Poly(spec, column).eval(xbar).val for column in zip(*parts)]
+    return [Poly(spec, column).eval(xbar) for column in zip(*parts)]
 
 
 def _prime_transform(coeffs, root: RootOfUnity, sign: int):

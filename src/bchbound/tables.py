@@ -97,24 +97,12 @@ def _coset_code(n, q, reps, root=None):
     return code_from_defining_set(n, q, root, frozenset(range(n)) - complement)
 
 
-def _compute_coset_row(key):
-    n, q, reps = key
-    return _row_from_code(_coset_code(n, q, reps))
-
-
-def _recompute_coset_rows(golden, workers=1):
+def _recompute_coset_rows(golden):
     """Rebuild rows given only (n, q, complement reps); roots are cached."""
-    order = []
+    cache = {}
     for row in golden:
-        if row.key() not in order:
-            order.append(row.key())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(order))) as pool:
-            cache = dict(zip(order, pool.map(_compute_coset_row, order)))
-    else:
-        cache = {key: _compute_coset_row(key) for key in order}
+        if row.key() not in cache:
+            cache[row.key()] = _row_from_code(_coset_code(*row.key()))
     return [replace(cache[row.key()], flag=row.flag) for row in golden]
 
 
@@ -215,11 +203,11 @@ def golden_rows(table_id):
     return rows
 
 
-def recompute(table_id, workers=1):
+def recompute(table_id):
     """Rebuild every row of a table from scratch, in golden order."""
     if table_id in _BUILDERS:
         return _BUILDERS[table_id]()
-    return _recompute_coset_rows(golden_rows(table_id), workers=workers)
+    return _recompute_coset_rows(golden_rows(table_id))
 
 
 def write_csv(rows, stream):

@@ -171,15 +171,6 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
     assert member == rep
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-1", "1.5", ""])
-def test_reproduce_rejects_bad_worker_count(capsys, monkeypatch, value):
-    monkeypatch.setenv("BCHBOUND_WORKERS", value)
-    with pytest.raises(SystemExit) as excinfo:
-        cli.main(["reproduce", "n15"])
-    assert excinfo.value.code == cli.EXIT_USAGE
-    assert "BCHBOUND_WORKERS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv,message", [
     (["cosets", "--n", "15", "--q", "4"], "--q must be a prime"),
     (["analyze", "--n", "15", "--q", "4", "--defining-set", "coset:1"],
@@ -203,6 +194,13 @@ def test_reproduce_rejects_bad_worker_count(capsys, monkeypatch, value):
     (["analyze", "--n", "13", "--q", "3", "--field-poly", "1,0",
       "--defining-set", "coset:1"],
      "--field-poly has degree m = 1, and n = 13 does not divide q^m - 1"),
+    # past the field-order cap: refused before the modulus is built
+    (["factor", "--n", "1", "--q", "2", "--field-poly", "89,38,0"],
+     "--field-poly has degree m = 89, and q^m = 2^89 exceeds the field-order "
+     "cap 16777216"),
+    (["factor", "--n", "1", "--q", "2", "--field-poly", "31,3,0"],
+     "--field-poly has degree m = 31, and q^m = 2^31 exceeds the field-order "
+     "cap 16777216"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

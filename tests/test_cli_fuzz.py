@@ -80,5 +80,6 @@ def _exit_code(argv):
 @example(argv=["forge", "--n=1", "--q=2", "--mode=primitive"])
 @example(argv=["analyze", "--n=13", "--q=3", "--field-poly=1,0",
                "--defining-set=coset:1"])
+@example(argv=["factor", "--n=1", "--q=2", "--field-poly=89,38,0"])
 def test_cli_exits_by_contract(argv):
     assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)

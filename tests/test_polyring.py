@@ -3,10 +3,16 @@ import random
 import pytest
 
 from bchbound.errors import BudgetExceeded, CoefficientLeak, ZeroPolynomial
-from bchbound.galois import FieldElement, build_field, nth_root
+from bchbound.galois import build_field, nth_root
+from bchbound.modring import (
+    cyclotomic_coset,
+    cyclotomic_cosets,
+    multiplicative_order,
+)
 from bchbound.polyring import (
     Poly,
     QuotientPoly,
+    _coset_product,
     cyclic_shift,
     divisor_enumerate,
     factor_xn,
@@ -67,10 +73,10 @@ def test_eval_horner_matches_naive():
     spec = build_field(3, 3)
     for _ in range(40):
         f = _random_poly(spec, rng)
-        pt = FieldElement(spec, rng.randrange(spec.order))
-        naive = spec.zero()
+        pt = rng.randrange(spec.order)
+        naive = 0
         for i, c in enumerate(f.coeffs):
-            naive = naive + FieldElement(spec, c) * pt ** i
+            naive = spec.add(naive, spec.mul(c, spec.power(pt, i)))
         assert f.eval(pt) == naive
 
 
@@ -83,20 +89,57 @@ def test_minimal_polynomial_n15(root15):
     assert m5.exponents() == [0, 1, 2]
     # each vanishes exactly on its coset
     for rep, m in [(1, m1), (3, m3), (5, m5)]:
-        zeros = {j for j in range(15) if m.eval(root15.pow(j)).val == 0}
-        from bchbound.modring import cyclotomic_coset
+        zeros = {j for j in range(15) if m.eval(root15.pow(j)) == 0}
         assert zeros == set(cyclotomic_coset(rep, 15, 2))
 
 
 def test_factor_xn_product_and_degrees():
     for n, p in [(15, 2), (21, 2), (31, 2), (11, 3)]:
-        from bchbound.modring import multiplicative_order
         root = nth_root(build_field(p, multiplicative_order(p, n)), n)
         factors = factor_xn(n, root)
         assert factors.full_product() == Poly.xn_minus_1(root.spec, n)
         for poly, coset in factors.factors:
             assert poly.degree == len(coset)
             poly.int_coeffs()  # factors over GF(p) must not leak upward
+
+
+def _factor_xn_oracle(n, root, d):
+    """factor_xn's own per-coset product loop, as it was before factor_xn
+    and minimal_polynomial shared one; kept as the reference."""
+    spec = root.spec
+    p = spec.p
+    factors = []
+    for coset in cyclotomic_cosets(n, p ** d).cosets:
+        f = Poly.one(spec)
+        for j in coset:
+            f = f * Poly(spec, [spec.neg(root.powers[j]), 1])
+        for c in f.coeffs:
+            assert spec.power(c, p ** d) == c  # Frobenius-fixed: in GF(p^d)
+        factors.append((f, frozenset(coset)))
+    factors.sort(key=lambda fc: min(fc[1]))
+    return tuple(factors)
+
+
+@pytest.mark.parametrize("n,p,degrees", [
+    (21, 2, (1, 2, 3, 6)),
+    (63, 2, (1, 2, 3)),
+    (13, 3, (1, 3)),
+])
+def test_shared_coset_product_matches_oracle(n, p, degrees):
+    root = nth_root(build_field(p, multiplicative_order(p, n)), n)
+    for d in degrees:
+        want = _factor_xn_oracle(n, root, d)
+        assert factor_xn(n, root, subfield_degree=d).factors == want
+        if d == 1:
+            for f, coset in want:
+                assert minimal_polynomial(root, min(coset)) == f
+
+
+def test_coset_product_refuses_a_leaking_coefficient(root15):
+    # x - alpha has a coefficient outside GF(2) but inside L = GF(2^4)
+    with pytest.raises(CoefficientLeak, match="escapes GF\\(2\\^1\\)"):
+        _coset_product(root15, [1], 1)
+    assert _coset_product(root15, [1], 4).degree == 1
 
 
 def test_factor_xn_over_subfield(root15):
@@ -146,6 +189,6 @@ def test_gcd_with_xn_is_shift_invariant(root15):
 
 def test_int_coeffs_leak():
     spec = build_field(2, 4)
-    bad = Poly(spec, [spec.x().val])
-    with pytest.raises(CoefficientLeak):
+    bad = Poly(spec, [spec.x()])
+    with pytest.raises(CoefficientLeak, match="coefficient x outside"):
         bad.int_coeffs()

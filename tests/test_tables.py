@@ -40,11 +40,6 @@ def test_recompute_matches_golden_everywhere():
             assert want == got, f"{table}: {want} != {got}"
 
 
-def test_recompute_with_workers_matches():
-    golden = tables.golden_rows("n17")
-    assert tables.recompute("n17", workers=2) == golden
-
-
 def test_write_csv_round_trips():
     rows = tables.golden_rows("n45")
     buf = io.StringIO()
