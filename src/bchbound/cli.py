@@ -55,20 +55,35 @@ def _check_args(args):
 
 
 def _parse_field_poly(text, q):
+    """Coefficients of --field-poly: terms e (coefficient 1) or e:c."""
+    terms = {}
     try:
-        exps = sorted({int(t) for t in text.split(",")}, reverse=True)
+        for term in text.split(","):
+            e, colon, c = term.partition(":")
+            e, c = int(e), int(c) if colon else 1
+            if terms.setdefault(e, c) != c:
+                raise argparse.ArgumentTypeError(
+                    f"--field-poly gives x^{e} two coefficients")
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad field polynomial {text!r}")
-    if not exps or exps[-1] != 0:
+    for e, c in sorted(terms.items()):
+        if not 1 <= c < q:
+            raise argparse.ArgumentTypeError(
+                f"--field-poly coefficient {c} of x^{e} is outside 1..{q - 1}")
+    m = max(terms)
+    if min(terms) != 0:
         raise argparse.ArgumentTypeError(
             "field polynomial needs a constant term (exponent 0)")
-    if exceeds_field_cap(q, exps[0]):
+    if m < 1:
         raise argparse.ArgumentTypeError(
-            f"--field-poly has degree m = {exps[0]}, and q^m = {q}^{exps[0]} "
+            f"--field-poly has degree m = {m}; the splitting field needs m >= 1")
+    if exceeds_field_cap(q, m):
+        raise argparse.ArgumentTypeError(
+            f"--field-poly has degree m = {m}, and q^m = {q}^{m} "
             f"exceeds the field-order cap {MAX_FIELD_ORDER}")
-    coeffs = [0] * (exps[0] + 1)
-    for e in exps:
-        coeffs[e] = 1
+    coeffs = [0] * (m + 1)
+    for e, c in terms.items():
+        coeffs[e] = c
     return tuple(coeffs)
 
 
@@ -83,7 +98,7 @@ def _make_root(n, q, field_poly=None):
         spec = build_field(q, m, field_poly)
         try:
             root = root_from_x(spec, n)
-            return root, {"min_poly": _poly_exponents(field_poly)}
+            return root, {"min_poly": _poly_terms(spec.modulus)}
         except BchboundError:
             root = nth_root(spec, n)
     else:
@@ -96,6 +111,12 @@ def _make_root(n, q, field_poly=None):
 
 def _poly_exponents(coeffs):
     return sorted((i for i, c in enumerate(coeffs) if c), reverse=True)
+
+
+def _poly_terms(coeffs):
+    """Exponents, highest first; a coefficient c other than 1 shows as "e:c"."""
+    return [e if coeffs[e] == 1 else f"{e}:{coeffs[e]}"
+            for e in _poly_exponents(coeffs)]
 
 
 def _parse_defining_set(text, n, q):
@@ -371,7 +392,8 @@ def _add_code_args(sub, defining_set=True):
     sub.add_argument("--n", type=int, required=True, help="code length")
     sub.add_argument("--q", type=int, required=True, help="alphabet size")
     sub.add_argument("--field-poly", default=None,
-                     help="splitting-field modulus as exponents, e.g. 12,3,0")
+                     help="splitting-field modulus as terms e or e:c "
+                          "(coefficient c), e.g. 12,3,0 or 3,1:2,0")
     if defining_set:
         sub.add_argument("--defining-set", required=True,
                          help="explicit list 1,2,4 or coset:a1,a2 shorthand")

@@ -2,15 +2,25 @@
 
 Elements live in a fixed extension GF(p^m) described by a FieldSpec and are
 encoded as base-p packed integers (for p = 2 this is simply the coefficient
-bitmask).  Arithmetic is plain polynomial-basis arithmetic modulo the field
-modulus.  No full-field tables are built, so memory stays bounded for m up
-to 20; each RootOfUnity keeps only an O(n) table of its own powers and the
-inverse map (discrete log on the subgroup it generates).
+bitmask).  Arithmetic depends only on the field:
+
+* p = 2: XOR addition and shift-and-add multiplication on the bitmask;
+* odd p with p^m <= TABLE_MAX_ORDER: exp, log and Zech-log tables, built
+  once when the FieldSpec is made, turn add, sub, neg, mul, power and inv
+  into list lookups (Zech logarithms: Lidl and Niederreiter, Finite Fields,
+  section 2.1 and its exercises);
+* larger odd-p fields: polynomial-basis arithmetic modulo the field modulus.
+
+A tabled field holds about 4 p^m list entries; every larger field stays
+table-free, so memory stays bounded up to MAX_FIELD_ORDER.  Each RootOfUnity
+keeps an O(n) table of its own powers and the inverse map (discrete log on
+the subgroup it generates).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,6 +32,9 @@ from .errors import (
 
 # Fields bigger than this are outside the design envelope (see README).
 MAX_FIELD_ORDER = 1 << 24
+
+# Odd-p fields up to this order carry exp, log and Zech-log tables.
+TABLE_MAX_ORDER = 1 << 16
 
 
 def exceeds_field_cap(p: int, m: int) -> bool:
@@ -47,8 +60,8 @@ def _polmul(a, b, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                out[i + j] += ai * bj
+    return _trim([c % p for c in out])
 
 
 def _polmod(a, f, p):
@@ -59,7 +72,8 @@ def _polmod(a, f, p):
         shift = len(a) - 1 - df
         c = a[-1] * inv_lead % p
         for i, fi in enumerate(f):
-            a[i + shift] = (a[i + shift] - c * fi) % p
+            if fi:
+                a[i + shift] = (a[i + shift] - c * fi) % p
         _trim(a)
     return a
 
@@ -106,6 +120,20 @@ def _polsub(a, b, p):
     return _trim(out)
 
 
+def _x_is_primitive(modulus, p) -> bool:
+    """True iff x-bar generates GF(p^m)* for this irreducible modulus.
+
+    Works on polynomials, so that default_modulus can reject a candidate
+    without making a FieldSpec (and its tables) for it.
+    """
+    f = list(modulus)
+    order = p ** (len(f) - 1)
+    if order == 2:
+        return True
+    return all(_polpowmod([0, 1], (order - 1) // r, f, p) != [1]
+               for r in _prime_factors(order - 1))
+
+
 def is_irreducible(modulus, p) -> bool:
     """Distinct-degree test: x^(p^m) = x mod f, no factor of degree m/r."""
     f = _trim(list(modulus))
@@ -132,11 +160,21 @@ class FieldSpec:
     """An explicit GF(p^m) given by a monic irreducible modulus over GF(p).
 
     Immutable after construction; shareable across threads.  Element values
-    are base-p packed integers in [0, p^m).
+    are base-p packed integers in [0, p^m).  For odd p and p^m <=
+    TABLE_MAX_ORDER the constructor also builds three lists, once, over a
+    primitive g (x-bar when it is primitive, else generator_value()):
+
+    * _exp[i] = g^i for i in [0, 2(p^m - 1)), so a sum of two logs needs no
+      reduction;
+    * _log[v] = the i < p^m - 1 with g^i = v, for v != 0 (_log[0] is None);
+    * _zech[i] = log(1 + g^i), None where 1 + g^i = 0 (i = (p^m - 1)/2).
+
+    Every other field has no lists (_log is None) and computes directly.
     """
 
     __slots__ = ("p", "m", "modulus", "order", "_mod_mask", "_group_factors",
-                 "_generator_val", "x_is_primitive", "_inv_cache")
+                 "_generator_val", "x_is_primitive", "_inv_cache",
+                 "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus):
         if exceeds_field_cap(p, m):
@@ -160,8 +198,51 @@ class FieldSpec:
             self._mod_mask = None
         self._group_factors = _prime_factors(self.order - 1) if self.order > 2 else []
         self._generator_val = None
-        self.x_is_primitive = self.order == 2 or self._has_full_order(self.x())
         self._inv_cache = {}
+        self._exp = self._log = self._zech = None
+        self.x_is_primitive = self.order == 2 or self._has_full_order(self.x())
+        if p != 2 and self.order <= TABLE_MAX_ORDER:
+            self._build_tables()
+
+    def _build_tables(self):
+        p = self.p
+        if self.x_is_primitive:
+            exp = self._x_powers()
+        else:  # possible under a user modulus: walk g with generic mul
+            g, mul = self.generator_value(), self.mul
+            exp = [1]
+            for _ in range(self.order - 2):
+                exp.append(mul(exp[-1], g))
+        log = [None] * self.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        # adding 1 changes only the lowest digit, wrapping p - 1 to 0; the
+        # element p - 1 is -1, whose sum with 1 is 0 and has no log
+        self._zech = [None if v == p - 1
+                      else log[v + 1 if v % p != p - 1 else v + 1 - p]
+                      for v in exp]
+        self._exp = exp + exp
+        self._log = log
+
+    def _x_powers(self):
+        """x-bar^i for i in [0, p^m - 1), each from the one before.
+
+        Multiplying by x shifts the base-p digits up one place; a top digit
+        t comes back as t * x^m = -t * (f_0 + ... + f_(m-1) x^(m-1)).
+        """
+        p, m, f = self.p, self.m, self.modulus
+        weights = [p ** k for k in range(m)]
+        digits, v, out = [1] + [0] * (m - 1), 1, []
+        for _ in range(self.order - 1):
+            out.append(v)
+            t = digits.pop()
+            digits.insert(0, 0)
+            if t:
+                digits = [(d - t * c) % p for d, c in zip(digits, f)]
+                v = sum(map(operator.mul, digits, weights))
+            else:
+                v *= p
+        return out
 
     # -- encoding ----------------------------------------------------------
 
@@ -185,12 +266,26 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
+        log = self._log
+        if log is None:
+            return self.encode(x + y for x, y in zip(self.decode(a), self.decode(b)))
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i (1 + g^(j - i)); a negative j - i indexes _zech
+        # from its end, which is j - i mod (p^m - 1)
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        return self.encode(-x for x in self.decode(a))
+        if self._log is None:
+            return self.encode(-x for x in self.decode(a))
+        # -1 = g^((p^m - 1)/2)
+        return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -209,6 +304,9 @@ class FieldSpec:
                 r ^= mod << (bl - 1 - m)
                 bl = r.bit_length()
             return r
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]] if a and b else 0
         da, db = self.decode(a), self.decode(b)
         prod = [0] * (2 * self.m - 1)
         for i, x in enumerate(da):
@@ -220,6 +318,12 @@ class FieldSpec:
         return self.encode(red + [0] * (self.m - len(red)))
 
     def power(self, a: int, e: int) -> int:
+        if self._log is not None:
+            if a:
+                return self._exp[self._log[a] * e % (self.order - 1)]
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return 0 if e else 1
         if e < 0:
             a = self.inv(a)
             e = -e
@@ -235,6 +339,8 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
+        if self._log is not None:
+            return self._exp[self.order - 1 - self._log[a]]
         cached = self._inv_cache.get(a)
         if cached is None:
             cached = self.power(a, self.order - 2)
@@ -394,10 +500,7 @@ def default_modulus(p: int, m: int):
             v //= p
         if coeffs[0] == 0:
             continue
-        if not is_irreducible(coeffs, p):
-            continue
-        spec = FieldSpec(p, m, coeffs)
-        if spec.x_is_primitive:
+        if is_irreducible(coeffs, p) and _x_is_primitive(coeffs, p):
             return tuple(coeffs)
     raise NoDefaultPolynomial(f"no primitive polynomial found for ({p}, {m})")
 

@@ -38,6 +38,26 @@ def test_factor_json_echoes_field_poly(capsys):
     assert len(payload["factors"]) == 5
 
 
+def test_field_poly_takes_coefficients(capsys):
+    # x^3 + 2x + 2 over GF(3): x-bar has order 13, so it is the root, and
+    # its field's tables are walked from a generator other than x-bar
+    code, out, _ = run_cli(capsys, "analyze", "--n", "13", "--q", "3",
+                           "--field-poly", "3,1:2,0:2",
+                           "--defining-set", "coset:1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["alpha"] == {"min_poly": [3, "1:2", "0:2"]}
+    assert payload["dimension"] == 10
+    # x^3 + 2x + 1 is primitive: x-bar has order 26
+    code, out, _ = run_cli(capsys, "factor", "--n", "26", "--q", "3",
+                           "--field-poly", "3,1:2,0", "--json")
+    assert json.loads(out)["alpha"] == {"min_poly": [3, "1:2", 0]}
+    # a coefficient 1 may be written either way
+    code, out, _ = run_cli(capsys, "factor", "--n", "15", "--q", "2",
+                           "--field-poly", "4:1,1,0:1", "--json")
+    assert json.loads(out)["alpha"] == {"min_poly": [4, 1, 0]}
+
+
 def test_analyze_remark_n41(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--n", "41", "--q", "2",
                            "--defining-set", "coset:1", "--json")
@@ -201,6 +221,17 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
     (["factor", "--n", "1", "--q", "2", "--field-poly", "31,3,0"],
      "--field-poly has degree m = 31, and q^m = 2^31 exceeds the field-order "
      "cap 16777216"),
+    # e:c terms and degree 0
+    (["factor", "--n", "1", "--q", "2", "--field-poly", "0"],
+     "--field-poly has degree m = 0; the splitting field needs m >= 1"),
+    (["factor", "--n", "13", "--q", "3", "--field-poly", "3,1:3,0"],
+     "--field-poly coefficient 3 of x^1 is outside 1..2"),
+    (["factor", "--n", "13", "--q", "3", "--field-poly", "3,1:0,0"],
+     "--field-poly coefficient 0 of x^1 is outside 1..2"),
+    (["factor", "--n", "13", "--q", "3", "--field-poly", "3,1:2,1,0"],
+     "--field-poly gives x^1 two coefficients"),
+    (["factor", "--n", "13", "--q", "3", "--field-poly", "3:,0"],
+     "bad field polynomial"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

@@ -33,6 +33,12 @@ _subfields = st.one_of(st.integers(-1, 6).map(str), _junk)
 _field_polys = st.one_of(
     st.lists(st.integers(0, 8), min_size=1, max_size=4).map(
         lambda es: ",".join(map(str, sorted(set(es) | {0}, reverse=True)))),
+    # e:c terms with c in 0..3: in range and out of range over GF(3), and
+    # now and then one exponent with two coefficients
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 3)), min_size=1,
+             max_size=4).map(lambda ts: ",".join(
+                 f"{e}:{c}" for e, c in sorted(ts, reverse=True)) + ",0:1"),
+    st.sampled_from(("0", "0:2")),  # degree 0
     _junk)
 # q from -1..7, drawn from the primes half of the time
 _qs = st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers(-1, 7))
@@ -81,5 +87,8 @@ def _exit_code(argv):
 @example(argv=["analyze", "--n=13", "--q=3", "--field-poly=1,0",
                "--defining-set=coset:1"])
 @example(argv=["factor", "--n=1", "--q=2", "--field-poly=89,38,0"])
+@example(argv=["factor", "--n=1", "--q=2", "--field-poly=0"])
+@example(argv=["analyze", "--n=13", "--q=3", "--field-poly=3,1:2,0:2",
+               "--defining-set=coset:1"])
 def test_cli_exits_by_contract(argv):
     assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)

@@ -1,10 +1,14 @@
+import functools
 import pathlib
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bchbound
+from bchbound import galois
 from bchbound.errors import (
     InvalidSubfield,
     NotCoprime,
@@ -13,7 +17,10 @@ from bchbound.errors import (
 )
 from bchbound.galois import (
     MAX_FIELD_ORDER,
+    TABLE_MAX_ORDER,
     FieldElement,
+    _polmod,
+    _polmul,
     build_field,
     default_modulus,
     exceeds_field_cap,
@@ -22,6 +29,149 @@ from bchbound.galois import (
     poly_str,
     root_from_x,
 )
+
+# ---------------------------------------------------------------------------
+# Reference arithmetic: schoolbook _polmul + _polmod on decoded digits.  It
+# shares no code with FieldSpec's arithmetic (tables or direct), so it is the
+# oracle for both here and for the transforms in test_spectral.
+# ---------------------------------------------------------------------------
+
+def _digits(spec, v):
+    out = []
+    for _ in range(spec.m):
+        v, d = divmod(v, spec.p)
+        out.append(d)
+    return out
+
+
+def _pack(spec, digits):
+    v = 0
+    for d in reversed(digits):
+        v = v * spec.p + d
+    return v
+
+
+@functools.lru_cache(maxsize=None)
+def ref_add(spec, a, b):
+    return _pack(spec, [(x + y) % spec.p
+                        for x, y in zip(_digits(spec, a), _digits(spec, b))])
+
+
+def ref_neg(spec, a):
+    return _pack(spec, [-x % spec.p for x in _digits(spec, a)])
+
+
+def ref_sub(spec, a, b):
+    return ref_add(spec, a, ref_neg(spec, b))
+
+
+@functools.lru_cache(maxsize=None)
+def ref_mul(spec, a, b):
+    prod = _polmul(_digits(spec, a), _digits(spec, b), spec.p)
+    return _pack(spec, _polmod(prod, list(spec.modulus), spec.p))
+
+
+def ref_power(spec, a, e):
+    if e < 0:
+        a, e = ref_inv(spec, a), -e
+    r = 1
+    while e:
+        if e & 1:
+            r = ref_mul(spec, r, a)
+        a = ref_mul(spec, a, a)
+        e >>= 1
+    return r
+
+
+def ref_inv(spec, a):
+    if a == 0:
+        raise ZeroDivisionError
+    return ref_power(spec, a, spec.order - 2)
+
+
+# x^6 + x^2 + x + 1 is irreducible over GF(3), but x-bar has order 364, not
+# 728, so the tables of this field are walked from generator_value()
+_NOT_PRIMITIVE_3_6 = (1, 1, 1, 0, 0, 0, 1)
+
+# (p, m, modulus or None for the default): four tabled fields, one of them
+# under a modulus whose x-bar is not primitive, and GF(3^11), past
+# TABLE_MAX_ORDER, which computes without tables
+TABLE_FIELDS = [(3, 5, None), (5, 3, None), (7, 2, None),
+                (3, 6, _NOT_PRIMITIVE_3_6), (3, 11, None)]
+
+
+def _element(spec):
+    return st.one_of(st.just(0), st.integers(0, spec.order - 1))
+
+
+@pytest.mark.parametrize("p,m,modulus", TABLE_FIELDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_field_arithmetic_matches_reference(p, m, modulus, data):
+    spec = build_field(p, m, modulus)
+    a, b = data.draw(_element(spec)), data.draw(_element(spec))
+    assert spec.add(a, b) == ref_add(spec, a, b)
+    assert spec.sub(a, b) == ref_sub(spec, a, b)
+    assert spec.neg(a) == ref_neg(spec, a)
+    assert spec.mul(a, b) == ref_mul(spec, a, b)
+    e = data.draw(st.integers(-2 * spec.order, 2 * spec.order))
+    assert spec.power(a, 0) == 1
+    if a:
+        assert spec.inv(a) == ref_inv(spec, a)
+        assert spec.power(a, e) == ref_power(spec, a, e)
+        assert spec.power(a, -abs(e)) == ref_power(spec, a, -abs(e))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            spec.inv(a)
+        with pytest.raises(ZeroDivisionError):
+            spec.power(a, -1 - abs(e))
+        assert spec.power(a, 1 + abs(e)) == 0
+
+
+@pytest.mark.parametrize("p,m,modulus,tabled", [
+    (2, 8, None, False),                 # p = 2 keeps XOR and shift-and-add
+    (3, 5, None, True),
+    (3, 6, _NOT_PRIMITIVE_3_6, True),
+    (3, 10, None, True),                 # the largest tabled power of 3
+    (3, 11, None, False),                # past TABLE_MAX_ORDER
+    (65537, 1, None, False),             # the first prime past it
+])
+def test_which_fields_carry_tables(p, m, modulus, tabled):
+    spec = build_field(p, m, modulus)
+    assert (spec._log is not None) == tabled
+    if tabled:
+        q1 = spec.order - 1
+        assert spec.order <= TABLE_MAX_ORDER
+        # exp runs over every nonzero element once, then repeats
+        assert sorted(spec._exp[:q1]) == list(range(1, spec.order))
+        assert spec._exp[q1:] == spec._exp[:q1]
+        assert len(spec._log) == spec.order and len(spec._zech) == q1
+    assert spec.x_is_primitive == (modulus is None)
+
+
+def test_default_modulus_builds_no_field(monkeypatch):
+    # for GF(5^4) the search rejects eight irreducible candidates whose
+    # x-bar is not primitive, starting with x^4 + 2; each is tested on
+    # polynomials, and no FieldSpec (so no table) is made for any of them
+    made = []
+    init = galois.FieldSpec.__init__
+
+    def counting_init(self, p, m, modulus):
+        made.append(tuple(modulus))
+        init(self, p, m, modulus)
+
+    monkeypatch.setattr(galois.FieldSpec, "__init__", counting_init)
+    default_modulus.cache_clear()
+    galois._cached_spec.cache_clear()
+    try:
+        assert default_modulus(5, 4) == (2, 2, 1, 0, 1)
+        assert made == []
+        # and the field itself is built, with its tables, once
+        assert build_field(5, 4) is build_field(5, 4)
+        assert made == [(2, 2, 1, 0, 1)]
+    finally:
+        default_modulus.cache_clear()
+        galois._cached_spec.cache_clear()
 
 
 def test_is_irreducible_known_cases():

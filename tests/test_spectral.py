@@ -10,6 +10,7 @@ from bchbound.galois import FieldElement, build_field, nth_root, poly_str
 from bchbound.modring import coset_closure
 from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
+from test_galois import ref_add, ref_inv, ref_mul, ref_power
 
 # (n, q, m): the criterion-9 rings, two long lengths and two fields whose
 # coordinate vectors carry digits 2..p-1
@@ -23,21 +24,28 @@ def _root(n, q, m):
 
 
 def _horner(coeffs, root, sign):
-    """Reference transform: Poly.eval at square-and-multiply powers of alpha.
+    """Reference transform: Horner evaluation at powers of alpha.
 
-    The library splits L-valued input into prime-field coordinate vectors;
-    this O(n^2) evaluation shares none of that and is the oracle for it.
+    The library splits L-valued input into prime-field coordinate vectors
+    and computes with FieldSpec's tables; this O(n^2) evaluation shares
+    neither and runs on the reference arithmetic of test_galois (schoolbook
+    _polmul + _polmod on digits), so it is the oracle for both.
     """
     spec, z = root.spec, root.element.val
-    poly = Poly(spec, coeffs)
-    return tuple(poly.eval(spec.power(z, sign * i % root.n))
-                 for i in range(root.n))
+    out = []
+    for i in range(root.n):
+        point = ref_power(spec, z, sign * i % root.n)
+        acc = 0
+        for c in reversed(coeffs):
+            acc = ref_add(spec, ref_mul(spec, acc, point), c)
+        out.append(acc)
+    return tuple(out)
 
 
 def _horner_idft(values, root):
     spec = root.spec
-    n_inv = spec.inv(root.n % spec.p)
-    return tuple(spec.mul(n_inv, v) for v in _horner(values, root, -1))
+    n_inv = ref_inv(spec, root.n % spec.p)
+    return tuple(ref_mul(spec, n_inv, v) for v in _horner(values, root, -1))
 
 
 def _values(top, min_size, max_size):
