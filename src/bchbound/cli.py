@@ -88,7 +88,11 @@ def _parse_field_poly(text, q):
 
 
 def _make_root(n, q, field_poly=None):
-    """Primitive n-th root plus a JSON-friendly description of it."""
+    """Primitive n-th root plus the "field_poly" and "alpha" keys of a record.
+
+    A user modulus shows as terms in both keys.  A default modulus keeps the
+    bare exponent list its records have always had.
+    """
     if field_poly is not None:
         m = len(field_poly) - 1
         if pow(q, m, n) != 1 % n:
@@ -96,17 +100,20 @@ def _make_root(n, q, field_poly=None):
                 f"--field-poly has degree m = {m}, and n = {n} does not "
                 f"divide q^m - 1 = {q}^{m} - 1")
         spec = build_field(q, m, field_poly)
+        terms = _poly_terms(spec.modulus)
         try:
             root = root_from_x(spec, n)
-            return root, {"min_poly": _poly_terms(spec.modulus)}
+            return root, {"field_poly": terms, "alpha": {"min_poly": terms}}
         except BchboundError:
             root = nth_root(spec, n)
     else:
         m = multiplicative_order(q, n)
         spec = build_field(q, m)
         root = nth_root(spec, n)
+        terms = _poly_exponents(spec.modulus)
     exponent = (spec.order - 1) // n
-    return root, {"generator_exponent": exponent}
+    return root, {"field_poly": terms,
+                  "alpha": {"generator_exponent": exponent}}
 
 
 def _poly_exponents(coeffs):
@@ -140,9 +147,9 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _code_record(code, alpha_info, report=None, bose="unset"):
+def _code_record(code, field_info, report=None, bose="unset"):
     rec = code.json_record()
-    rec["alpha"] = alpha_info
+    rec.update(field_info)
     if report is None:
         report = code_apparent_distance(code)
     rec["bch_bound"] = report.overall
@@ -154,9 +161,9 @@ def _code_record(code, alpha_info, report=None, bose="unset"):
 
 
 def _build_code(args):
-    root, alpha_info = _make_root(args.n, args.q, args.field_poly)
+    root, field_info = _make_root(args.n, args.q, args.field_poly)
     d_set = _parse_defining_set(args.defining_set, args.n, args.q)
-    return code_from_defining_set(args.n, args.q, root, d_set), alpha_info
+    return code_from_defining_set(args.n, args.q, root, d_set), field_info
 
 
 def cmd_cosets(args):
@@ -179,15 +186,13 @@ def cmd_cosets(args):
 
 
 def cmd_factor(args):
-    root, alpha_info = _make_root(args.n, args.q, args.field_poly)
+    root, field_info = _make_root(args.n, args.q, args.field_poly)
     factors = factor_xn(args.n, root, subfield_degree=args.subfield)
     items = [{"coset_rep": min(coset), "coset": sorted(coset),
               "exponents": poly.exponents()}
              for poly, coset in factors.factors]
-    payload = {"n": args.n, "q": args.q,
-               "field_poly": _poly_exponents(root.spec.modulus),
-               "alpha": alpha_info, "subfield_degree": args.subfield,
-               "factors": items}
+    payload = {"n": args.n, "q": args.q, **field_info,
+               "subfield_degree": args.subfield, "factors": items}
     lines = [f"x^{args.n} - 1 has {len(items)} irreducible factors over "
              f"GF({args.q ** args.subfield})"]
     for item, (poly, _) in zip(items, factors.factors):
@@ -197,8 +202,8 @@ def cmd_factor(args):
 
 
 def cmd_analyze(args):
-    code, alpha_info = _build_code(args)
-    rec, report = _code_record(code, alpha_info)
+    code, field_info = _build_code(args)
+    rec, report = _code_record(code, field_info)
     lines = [
         f"[{code.n},{code.dimension}] code over GF({code.q})",
         f"defining set: {sorted(code.defining_set)}",
@@ -226,8 +231,8 @@ def cmd_analyze(args):
 
 
 def cmd_mindist(args):
-    code, alpha_info = _build_code(args)
-    rec, report = _code_record(code, alpha_info)
+    code, field_info = _build_code(args)
+    rec, report = _code_record(code, field_info)
     res = min_distance(code, cap=args.cap, stop_at=report.overall)
     rec["min_distance"] = res.distance
     rec["exhaustive"] = res.exhaustive
@@ -244,8 +249,8 @@ def cmd_mindist(args):
     return EXIT_OK
 
 
-def _record_payload(rec, alpha_info):
-    code_rec, _ = _code_record(rec.code, alpha_info)
+def _record_payload(rec, field_info):
+    code_rec, _ = _code_record(rec.code, field_info)
     payload = {
         "source": rec.source,
         "divisor": rec.divisor.exponents(),
@@ -286,7 +291,7 @@ def _forge_divisor(args, root):
 
 
 def cmd_forge(args):
-    root, alpha_info = _make_root(args.n, args.q, args.field_poly)
+    root, field_info = _make_root(args.n, args.q, args.field_poly)
     records = []
     if args.mode == "divisor":
         records = [_forge_divisor(args, root)[2]]
@@ -322,7 +327,7 @@ def cmd_forge(args):
     if args.verify:
         records = [rec.verify() for rec in records]
     payload = {"mode": args.mode,
-               "records": [_record_payload(r, alpha_info) for r in records]}
+               "records": [_record_payload(r, field_info) for r in records]}
     lines = [f"{len(records)} construction(s) in {args.mode} mode"]
     for rec in records:
         status = "verified d = bound" if rec.verified else "unverified"

@@ -33,8 +33,12 @@ from .errors import (
 # Fields bigger than this are outside the design envelope (see README).
 MAX_FIELD_ORDER = 1 << 24
 
-# Odd-p fields up to this order carry exp, log and Zech-log tables.
-TABLE_MAX_ORDER = 1 << 16
+# Odd-p fields up to this order carry exp, log and Zech-log tables.  The
+# build is linear in the order, so past this a command that does few field
+# operations would pay more for it than the tables save: `factor --n 61
+# --q 3` (GF(3^10)) ran 0.12 s slower with tables, and 1.0 s slower under
+# a modulus whose x-bar is not primitive (2-vCPU Xeon VM).
+TABLE_MAX_ORDER = 1 << 10
 
 
 def exceeds_field_cap(p: int, m: int) -> bool:
@@ -60,8 +64,8 @@ def _polmul(a, b, p):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([c % p for c in out])
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
 
 
 def _polmod(a, f, p):
@@ -72,8 +76,7 @@ def _polmod(a, f, p):
         shift = len(a) - 1 - df
         c = a[-1] * inv_lead % p
         for i, fi in enumerate(f):
-            if fi:
-                a[i + shift] = (a[i + shift] - c * fi) % p
+            a[i + shift] = (a[i + shift] - c * fi) % p
         _trim(a)
     return a
 
@@ -120,20 +123,6 @@ def _polsub(a, b, p):
     return _trim(out)
 
 
-def _x_is_primitive(modulus, p) -> bool:
-    """True iff x-bar generates GF(p^m)* for this irreducible modulus.
-
-    Works on polynomials, so that default_modulus can reject a candidate
-    without making a FieldSpec (and its tables) for it.
-    """
-    f = list(modulus)
-    order = p ** (len(f) - 1)
-    if order == 2:
-        return True
-    return all(_polpowmod([0, 1], (order - 1) // r, f, p) != [1]
-               for r in _prime_factors(order - 1))
-
-
 def is_irreducible(modulus, p) -> bool:
     """Distinct-degree test: x^(p^m) = x mod f, no factor of degree m/r."""
     f = _trim(list(modulus))
@@ -169,14 +158,16 @@ class FieldSpec:
     * _log[v] = the i < p^m - 1 with g^i = v, for v != 0 (_log[0] is None);
     * _zech[i] = log(1 + g^i), None where 1 + g^i = 0 (i = (p^m - 1)/2).
 
-    Every other field has no lists (_log is None) and computes directly.
+    Every other field has no lists (_log is None) and computes directly,
+    as does a spec made with tables=False: default_modulus makes those for
+    candidates it only reads x_is_primitive of.
     """
 
     __slots__ = ("p", "m", "modulus", "order", "_mod_mask", "_group_factors",
                  "_generator_val", "x_is_primitive", "_inv_cache",
                  "_exp", "_log", "_zech")
 
-    def __init__(self, p: int, m: int, modulus):
+    def __init__(self, p: int, m: int, modulus, *, tables: bool = True):
         if exceeds_field_cap(p, m):
             raise RejectedModulus(
                 f"GF({p}^{m}) exceeds the field-order cap {MAX_FIELD_ORDER}")
@@ -201,7 +192,7 @@ class FieldSpec:
         self._inv_cache = {}
         self._exp = self._log = self._zech = None
         self.x_is_primitive = self.order == 2 or self._has_full_order(self.x())
-        if p != 2 and self.order <= TABLE_MAX_ORDER:
+        if tables and p != 2 and self.order <= TABLE_MAX_ORDER:
             self._build_tables()
 
     def _build_tables(self):
@@ -500,7 +491,10 @@ def default_modulus(p: int, m: int):
             v //= p
         if coeffs[0] == 0:
             continue
-        if is_irreducible(coeffs, p) and _x_is_primitive(coeffs, p):
+        if not is_irreducible(coeffs, p):
+            continue
+        # only x-bar's order is read, so a rejected candidate builds no tables
+        if FieldSpec(p, m, coeffs, tables=False).x_is_primitive:
             return tuple(coeffs)
     raise NoDefaultPolynomial(f"no primitive polynomial found for ({p}, {m})")
 

@@ -47,11 +47,29 @@ def test_field_poly_takes_coefficients(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["alpha"] == {"min_poly": [3, "1:2", "0:2"]}
+    assert payload["field_poly"] == [3, "1:2", "0:2"]
     assert payload["dimension"] == 10
+    code, out, _ = run_cli(capsys, "factor", "--n", "13", "--q", "3",
+                           "--field-poly", "3,1:2,0:2", "--json")
+    payload = json.loads(out)
+    assert payload["field_poly"] == payload["alpha"]["min_poly"]
     # x^3 + 2x + 1 is primitive: x-bar has order 26
     code, out, _ = run_cli(capsys, "factor", "--n", "26", "--q", "3",
                            "--field-poly", "3,1:2,0", "--json")
-    assert json.loads(out)["alpha"] == {"min_poly": [3, "1:2", 0]}
+    payload = json.loads(out)
+    assert payload["alpha"] == {"min_poly": [3, "1:2", 0]}
+    assert payload["field_poly"] == [3, "1:2", 0]
+    # that is GF(3^3)'s default modulus, whose record keeps the bare
+    # exponent list it has always had
+    code, out, _ = run_cli(capsys, "factor", "--n", "26", "--q", "3",
+                           "--json")
+    assert json.loads(out)["field_poly"] == [3, 1, 0]
+    # x-bar of x^4 + x + 2 has order 80, not 5, so another root is taken
+    code, out, _ = run_cli(capsys, "factor", "--n", "5", "--q", "3",
+                           "--field-poly", "4,1,0:2", "--json")
+    payload = json.loads(out)
+    assert "min_poly" not in payload["alpha"]
+    assert payload["field_poly"] == [4, 1, "0:2"]
     # a coefficient 1 may be written either way
     code, out, _ = run_cli(capsys, "factor", "--n", "15", "--q", "2",
                            "--field-poly", "4:1,1,0:1", "--json")

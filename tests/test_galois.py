@@ -131,10 +131,11 @@ def test_field_arithmetic_matches_reference(p, m, modulus, data):
 @pytest.mark.parametrize("p,m,modulus,tabled", [
     (2, 8, None, False),                 # p = 2 keeps XOR and shift-and-add
     (3, 5, None, True),
-    (3, 6, _NOT_PRIMITIVE_3_6, True),
-    (3, 10, None, True),                 # the largest tabled power of 3
-    (3, 11, None, False),                # past TABLE_MAX_ORDER
-    (65537, 1, None, False),             # the first prime past it
+    (3, 6, _NOT_PRIMITIVE_3_6, True),    # the largest tabled power of 3
+    (1021, 1, None, True),               # the largest tabled prime
+    (1031, 1, None, False),              # the first prime past TABLE_MAX_ORDER
+    (3, 7, None, False),
+    (3, 11, None, False),
 ])
 def test_which_fields_carry_tables(p, m, modulus, tabled):
     spec = build_field(p, m, modulus)
@@ -149,26 +150,25 @@ def test_which_fields_carry_tables(p, m, modulus, tabled):
     assert spec.x_is_primitive == (modulus is None)
 
 
-def test_default_modulus_builds_no_field(monkeypatch):
+def test_default_modulus_builds_no_tables(monkeypatch):
     # for GF(5^4) the search rejects eight irreducible candidates whose
-    # x-bar is not primitive, starting with x^4 + 2; each is tested on
-    # polynomials, and no FieldSpec (so no table) is made for any of them
-    made = []
-    init = galois.FieldSpec.__init__
+    # x-bar is not primitive, starting with x^4 + 2; none builds tables
+    built = []
+    build = galois.FieldSpec._build_tables
 
-    def counting_init(self, p, m, modulus):
-        made.append(tuple(modulus))
-        init(self, p, m, modulus)
+    def counting_build(self):
+        built.append(self.modulus)
+        build(self)
 
-    monkeypatch.setattr(galois.FieldSpec, "__init__", counting_init)
+    monkeypatch.setattr(galois.FieldSpec, "_build_tables", counting_build)
     default_modulus.cache_clear()
     galois._cached_spec.cache_clear()
     try:
         assert default_modulus(5, 4) == (2, 2, 1, 0, 1)
-        assert made == []
-        # and the field itself is built, with its tables, once
+        assert built == []
+        # and the field itself builds them once
         assert build_field(5, 4) is build_field(5, 4)
-        assert made == [(2, 2, 1, 0, 1)]
+        assert built == [(2, 2, 1, 0, 1)]
     finally:
         default_modulus.cache_clear()
         galois._cached_spec.cache_clear()
