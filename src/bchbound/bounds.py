@@ -91,7 +91,7 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     rather than finished.
     """
     report = code_apparent_distance(code)
-    n, q = code.n, code.q
+    n = code.n
     target_deg = n - report.overall
     allowed = {a: frozenset(range(n)) - d_a
                for a, (d_a, dstar, _) in report.per_representative.items()
@@ -101,7 +101,7 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
         for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
                                            budget=budget):
             spent += 1
-            cert = _check_divisor(code, g, allowed, q)
+            cert = _check_divisor(code, g, allowed)
             if cert is not None:
                 return cert
     except BudgetExceeded:
@@ -110,7 +110,7 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     return None
 
 
-def _check_divisor(code: CyclicCode, g: Poly, allowed, q):
+def _check_divisor(code: CyclicCode, g: Poly, allowed):
     n = code.n
     supp = sorted(g.support())
     f = QuotientPoly.from_poly(g, n)
@@ -119,6 +119,6 @@ def _check_divisor(code: CyclicCode, g: Poly, allowed, q):
             if not {(i + k) % n for i in supp} <= allowed[a]:
                 continue
             s = Spectrum(n, code.root, cyclic_shift(f, k).coeffs)
-            if is_rational(s, q):
+            if is_rational(s):
                 return Certificate(g, k, a)
     return None

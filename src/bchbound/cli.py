@@ -1,7 +1,8 @@
 """Command line front end: analysis, construction, distance, reproduction.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 usage error,
-3 computational error.
+3 computational error.  Output cut off by a closed pipe (``| head``) ends
+quietly with the exit code of success.
 """
 
 from __future__ import annotations
@@ -9,12 +10,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import tables
 from .bounds import certify_equality, code_apparent_distance
 from .codes import bose_distance, code_from_defining_set
 from .errors import BchboundError
+from .forge import (
+    congruence_construct,
+    construct_from_divisor,
+    extend_to_bch,
+    find_shift,
+    primitive_family,
+    record_for_bch,
+)
 from .galois import (
     MAX_FIELD_ORDER,
     build_field,
@@ -147,16 +157,21 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _code_record(code, field_info, report=None, bose="unset"):
-    rec = code.json_record()
-    rec.update(field_info)
-    if report is None:
-        report = code_apparent_distance(code)
-    rec["bch_bound"] = report.overall
-    rec["optimal_reps"] = sorted(report.optimal_reps)
-    if bose == "unset":
-        bose = bose_distance(code)
-    rec["bose_distance"] = bose
+def _code_record(code, field_info):
+    """The --json record of a code, plus its apparent-distance report."""
+    report = code_apparent_distance(code)
+    rec = {
+        "n": code.n,
+        "q": code.q,
+        **field_info,
+        "defining_set": sorted(code.defining_set),
+        "dimension": code.dimension,
+        "generator_poly": code.generator.exponents(),
+        "idempotent": sorted(code.idempotent.support()),
+        "bch_bound": report.overall,
+        "optimal_reps": sorted(report.optimal_reps),
+        "bose_distance": bose_distance(code),
+    }
     return rec, report
 
 
@@ -267,8 +282,6 @@ def _record_payload(rec, field_info):
 
 
 def _forge_divisor(args, root):
-    from .forge import construct_from_divisor, find_shift
-
     factors = factor_xn(args.n, root, subfield_degree=args.subfield)
     if args.quotient is None:
         raise argparse.ArgumentTypeError(
@@ -284,10 +297,10 @@ def _forge_divisor(args, root):
         g = g // f
     k = args.shift
     if k is None:
-        k = find_shift(g, root, args.q)
+        k = find_shift(g, root)
         if k is None:
             raise BchboundError(f"no rational shift exists for this divisor")
-    return g, k, construct_from_divisor(g, k, root, args.q)
+    return g, k, construct_from_divisor(g, k, root)
 
 
 def cmd_forge(args):
@@ -296,14 +309,9 @@ def cmd_forge(args):
     if args.mode == "divisor":
         records = [_forge_divisor(args, root)[2]]
     elif args.mode == "extend":
-        from .forge import extend_to_bch, record_for_bch
-
         g, k, _ = _forge_divisor(args, root)
-        records = [record_for_bch(spec) for spec in extend_to_bch(g, k, root,
-                                                                  args.q)]
+        records = [record_for_bch(spec) for spec in extend_to_bch(g, k, root)]
     elif args.mode == "congruence":
-        from .forge import congruence_construct
-
         if args.coset is None:
             raise argparse.ArgumentTypeError(
                 "--coset is required for congruence mode")
@@ -312,13 +320,11 @@ def cmd_forge(args):
                         if args.coset % args.n in c)
         members = [args.j] if args.j is not None else sorted(coset)
         for j in members:
-            rec = congruence_construct(h, j, root, args.q)
+            rec = congruence_construct(h, j, root)
             if rec is not None:
                 records.append(rec)
                 break
     elif args.mode == "primitive":
-        from .forge import primitive_family
-
         m = args.n.bit_length()
         if args.n != (1 << m) - 1 or m < 2 or args.q != 2:
             raise argparse.ArgumentTypeError(
@@ -481,6 +487,13 @@ def main(argv=None):
     except BchboundError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at devnull so that neither
+        # the rest of it nor the interpreter's final flush raises again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ImproperCode, NotCosetClosed
+from .errors import ImproperCode, NotCosetClosed, RootMismatch
 from .galois import RootOfUnity
 from .modring import (coset_closure, cyclic_runs, cyclotomic_cosets,
                       is_coset_closed, representative_set)
@@ -20,12 +20,18 @@ from .spectral import dft, idft, indicator_spectrum
 class CyclicCode:
     """A cyclic code of length n over GF(q), fixed by its defining set."""
 
-    n: int
-    q: int
     root: RootOfUnity
     defining_set: frozenset
     generator: Poly = field(compare=False)
     idempotent: QuotientPoly = field(compare=False)
+
+    @property
+    def n(self):
+        return self.root.n
+
+    @property
+    def q(self):
+        return self.root.spec.p
 
     @property
     def dimension(self):
@@ -43,28 +49,18 @@ class CyclicCode:
         values = dft(c, self.root).values
         return all(values[i] == 0 for i in self.defining_set)
 
-    def json_record(self):
-        rec = {
-            "n": self.n,
-            "q": self.q,
-            "field_poly": sorted((i for i, c in enumerate(self.spec.modulus) if c),
-                                 reverse=True),
-            "defining_set": sorted(self.defining_set),
-            "dimension": self.dimension,
-            "generator_poly": self.generator.exponents(),
-            "idempotent": sorted(self.idempotent.support()),
-        }
-        return rec
-
 
 @dataclass(frozen=True)
 class BchSpec:
     """A BCH code B_q(alpha, delta, b) together with its window parameters."""
 
-    root: RootOfUnity
     delta: int
     b: int
     code: CyclicCode
+
+    @property
+    def root(self):
+        return self.code.root
 
     def window(self):
         n = self.code.n
@@ -72,7 +68,11 @@ class BchSpec:
 
 
 def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCode:
-    """Build the code with D_alpha(C) = d_set, caching generator and idempotent."""
+    """Build the code with D_alpha(C) = d_set, caching generator and idempotent;
+    RootMismatch unless (n, q) = (root.n, root.spec.p)."""
+    if (n, q) != (root.n, root.spec.p):
+        raise RootMismatch(f"n = {n}, q = {q}, but the root has order "
+                           f"{root.n} over GF({root.spec.p})")
     d = frozenset(i % n for i in d_set)
     if not is_coset_closed(d, n, q):
         raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
@@ -82,26 +82,24 @@ def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCo
     gen = Poly.one(spec)
     for coset in cyclotomic_cosets(n, q).cosets:
         if coset[0] in d:
-            gen = gen * minimal_polynomial(root, coset[0], q)
-    e = idft(indicator_spectrum(n, d, root, q))
+            gen = gen * minimal_polynomial(root, coset[0])
+    e = idft(indicator_spectrum(d, root))
     e.int_coeffs()  # the idempotent must land in the base field
-    return CyclicCode(n, q, root, d, gen, e)
+    return CyclicCode(root, d, gen, e)
 
 
 def idempotent_generator(code: CyclicCode) -> QuotientPoly:
     return code.idempotent
 
 
-def bch_code(root: RootOfUnity, delta: int, b: int, q: int | None = None) -> BchSpec:
+def bch_code(root: RootOfUnity, delta: int, b: int) -> BchSpec:
     """B_q(alpha, delta, b): closure of the window {b, ..., b + delta - 2}."""
-    n = root.n
-    if q is None:
-        q = root.spec.p
+    n, q = root.n, root.spec.p
     if not 2 <= delta <= n:
         raise ValueError("designed distance must satisfy 2 <= delta <= n")
     d = coset_closure(range(b, b + delta - 1), n, q)
     code = code_from_defining_set(n, q, root, d)
-    return BchSpec(root, delta, b % n, code)
+    return BchSpec(delta, b % n, code)
 
 
 def bose_distance(code: CyclicCode):

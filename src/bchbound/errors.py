@@ -38,7 +38,8 @@ class NotCosetClosed(BchboundError):
 
 
 class RootMismatch(BchboundError):
-    """Two spectra built over different roots were combined."""
+    """Two spectra built over different roots were combined, or an n or q
+    passed beside a root disagrees with its order n or its field's p."""
 
 
 class ImproperCode(BchboundError):

@@ -23,7 +23,7 @@ from .modring import (
 )
 from .polyring import Poly, QuotientPoly, cyclic_shift, factor_xn, minimal_polynomial
 from .spectral import Spectrum, idft, is_rational
-from .wtdist import min_distance
+from .wtdist import DEFAULT_CAP, min_distance
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ConstructionRecord:
     generator_word: QuotientPoly  # the idft codeword that generates the code
     verified: bool = False
 
-    def verify(self, cap=1 << 30) -> "ConstructionRecord":
+    def verify(self, cap=DEFAULT_CAP) -> "ConstructionRecord":
         """Re-check the claims: Delta from bounds, d by min_distance.
 
         Raises when the search disproves d = Delta.  A search that runs out
@@ -57,17 +57,17 @@ class ConstructionRecord:
         return replace(self, verified=res.distance == self.bch_bound)
 
 
-def _rational_shift(g: Poly, k: int, root: RootOfUnity, q: int) -> Spectrum:
+def _rational_shift(g: Poly, k: int, root: RootOfUnity) -> Spectrum:
     """x^k * g read as a spectrum; NotRational unless it inverts into F_q(n)."""
     f = cyclic_shift(QuotientPoly.from_poly(g, root.n), k)
     s = Spectrum(root.n, root, f.coeffs)
-    if not is_rational(s, q):
-        raise NotRational(f"shift k={k} leaves spectrum values outside GF({q})")
+    if not is_rational(s):
+        raise NotRational(f"shift k={k} leaves spectrum values outside "
+                          f"GF({root.spec.p})")
     return s
 
 
 def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
-                           q: int | None = None,
                            source: str = "divisor") -> ConstructionRecord:
     """Corollary route: the code generated by idft of the shifted divisor.
 
@@ -76,13 +76,11 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
     assumed; NotRational otherwise).
     """
     n = root.n
-    if q is None:
-        q = root.spec.p
-    s = _rational_shift(g, k, root, q)
+    s = _rational_shift(g, k, root)
     word = idft(s)
     word.int_coeffs()
     d_set = frozenset(range(n)) - s.support()
-    code = code_from_defining_set(n, q, root, d_set)
+    code = code_from_defining_set(n, root.spec.p, root, d_set)
     assert code.contains(word)
     return ConstructionRecord(source, g, k % n, code,
                               dimension=len(s.support()),
@@ -90,7 +88,7 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
                               generator_word=word)
 
 
-def find_shift(g: Poly, root: RootOfUnity, q: int | None = None):
+def find_shift(g: Poly, root: RootOfUnity):
     """Smallest k for which the spectrum x^k * g inverts into F_q(n).
 
     Coefficient i of that inverse is (1/n) * alpha^(-ik) * g(alpha^(-i)) and
@@ -101,22 +99,19 @@ def find_shift(g: Poly, root: RootOfUnity, q: int | None = None):
     n = root.n
     f = QuotientPoly.from_poly(g, n)
     for k in range(n):
-        if is_rational(Spectrum(n, root, cyclic_shift(f, k).coeffs), q):
+        if is_rational(Spectrum(n, root, cyclic_shift(f, k).coeffs)):
             return k
     return None
 
 
-def congruence_construct(h: Poly, j: int, root: RootOfUnity,
-                         q: int | None = None):
+def congruence_construct(h: Poly, j: int, root: RootOfUnity):
     """Criterion route: g = (x^n - 1)/h with g(alpha^j) a suitable root power.
 
     h must be an irreducible factor of x^n - 1 (over some subfield) and j a
     member of its defining coset.  Returns None when the hypothesis fails:
     g(alpha^j) is not in <alpha>, or the gcd divisibility does not hold.
     """
-    n = root.n
-    if q is None:
-        q = root.spec.p
+    n, q = root.n, root.spec.p
     xn1 = Poly.xn_minus_1(root.spec, n)
     quot, rem = xn1.divmod(h)
     if not rem.is_zero():
@@ -134,7 +129,7 @@ def congruence_construct(h: Poly, j: int, root: RootOfUnity,
     k = solve_linear_congruence(scale * j, (-scale * t) % (n // gamma), n // gamma)
     if k is None:
         return None
-    return construct_from_divisor(g, k, root, q, source="congruence")
+    return construct_from_divisor(g, k, root, source="congruence")
 
 
 def primitive_family(m: int, root: RootOfUnity | None = None):
@@ -150,8 +145,8 @@ def primitive_family(m: int, root: RootOfUnity | None = None):
     reps = representative_set(cyclotomic_cosets(n, 2)).members
     records = []
     for a in reps:
-        h = minimal_polynomial(root, a, 2)
-        rec = congruence_construct(h, a, root, 2)
+        h = minimal_polynomial(root, a)
+        rec = congruence_construct(h, a, root)
         if rec is None:  # guaranteed by primitivity of alpha
             raise AssertionError(f"congruence route failed at coset {a}")
         records.append(ConstructionRecord("primitive-family", rec.divisor, rec.k,
@@ -161,7 +156,7 @@ def primitive_family(m: int, root: RootOfUnity | None = None):
     return records
 
 
-def extend_to_bch(g: Poly, k: int, root: RootOfUnity, q: int | None = None):
+def extend_to_bch(g: Poly, k: int, root: RootOfUnity):
     """Dimensional extension: every BCH window the shifted divisor anchors.
 
     For each maximal zero-run of the shifted coefficient vector achieving
@@ -170,11 +165,9 @@ def extend_to_bch(g: Poly, k: int, root: RootOfUnity, q: int | None = None):
     run start.  The canonical window b = deg(g) + k + 1 comes first; records
     are deduplicated by defining set.
     """
-    n = root.n
-    if q is None:
-        q = root.spec.p
+    n, q = root.n, root.spec.p
     delta = n - g.degree
-    starts = zero_runs(_rational_shift(g, k, root, q).values, delta - 1)
+    starts = zero_runs(_rational_shift(g, k, root).values, delta - 1)
     canonical = (g.degree + k + 1) % n
     starts.sort(key=lambda b: (b != canonical, b))
     out = []
@@ -183,7 +176,7 @@ def extend_to_bch(g: Poly, k: int, root: RootOfUnity, q: int | None = None):
         t_set = coset_closure(range(b, b + delta - 1), n, q)
         if t_set not in seen:  # bch_code builds the code of this same closure
             seen.add(t_set)
-            out.append(bch_code(root, delta, b, q))
+            out.append(bch_code(root, delta, b))
     return out
 
 

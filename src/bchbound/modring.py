@@ -54,8 +54,16 @@ def _check(n: int, q: int):
 
 
 def cyclotomic_coset(a: int, n: int, q: int) -> tuple:
-    """The orbit of a under multiplication by q modulo n, sorted."""
-    a %= n
+    """The orbit of a under multiplication by q modulo n, sorted.
+
+    NotCoprime unless gcd(n, q) = 1, where the orbit need not return to a.
+    """
+    _check(n, q)
+    return _orbit(a % n, n, q)
+
+
+def _orbit(a: int, n: int, q: int) -> tuple:
+    """cyclotomic_coset of a in [0, n) for a pair (n, q) already checked."""
     out = {a}
     b = a * q % n
     while b != a:
@@ -72,7 +80,7 @@ def cyclotomic_cosets(n: int, q: int) -> CosetPartition:
     for a in range(n):
         if a in seen:
             continue
-        c = cyclotomic_coset(a, n, q)
+        c = _orbit(a, n, q)
         seen.update(c)
         cosets.append(c)
     return CosetPartition(n, q, tuple(cosets))
@@ -114,9 +122,10 @@ def representative_set(partition: CosetPartition) -> RepresentativeSet:
 
 def coset_closure(indices, n: int, q: int) -> frozenset:
     """The smallest union of q-cyclotomic cosets containing the indices mod n."""
+    _check(n, q)
     out = set()
     for a in indices:
-        out.update(cyclotomic_coset(a, n, q))
+        out.update(_orbit(a % n, n, q))
     return frozenset(out)
 
 

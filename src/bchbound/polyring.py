@@ -14,7 +14,7 @@ from .errors import (
     BudgetExceeded,
     CoefficientLeak,
     InvalidSubfield,
-    NotCoprime,
+    RootMismatch,
     ZeroPolynomial,
 )
 from .galois import FieldSpec, RootOfUnity, poly_str
@@ -248,14 +248,12 @@ def _coset_product(root: RootOfUnity, coset, d: int) -> Poly:
     return out
 
 
-def minimal_polynomial(root: RootOfUnity, s: int, q: int | None = None) -> Poly:
-    """min_q(alpha^s) = prod over the q-coset of s of (x - alpha^j).
+def minimal_polynomial(root: RootOfUnity, s: int) -> Poly:
+    """min_q(alpha^s) = prod over the q-coset of s of (x - alpha^j), q = p.
 
-    Computed in L; every coefficient is verified to lie in GF(q) (q prime).
+    Computed in L; every coefficient is verified to lie in GF(q).
     """
-    if q is None:
-        q = root.spec.p
-    return _coset_product(root, cyclotomic_coset(s, root.n, q), 1)
+    return _coset_product(root, cyclotomic_coset(s, root.n, root.spec.p), 1)
 
 
 @dataclass(frozen=True)
@@ -281,14 +279,13 @@ class FactorList:
 
 
 def factor_xn(n: int, root: RootOfUnity, subfield_degree: int = 1) -> FactorList:
-    """Factor x^n - 1 over GF(p^d) via root-coset grouping, d | m."""
+    """Factor x^n - 1 over GF(p^d) via root-coset grouping, d | m; n = root.n."""
     spec = root.spec
-    p = spec.p
-    if n % p == 0:
-        raise NotCoprime(f"gcd({n}, {p}) > 1")
+    if n != root.n:
+        raise RootMismatch(f"n = {n}, but the root has order {root.n}")
     if subfield_degree < 1 or spec.m % subfield_degree != 0:
         raise InvalidSubfield(f"{subfield_degree} does not divide {spec.m}")
-    qd = p ** subfield_degree
+    qd = spec.p ** subfield_degree
     part = cyclotomic_cosets(n, qd)
     factors = [(_coset_product(root, coset, subfield_degree), frozenset(coset))
                for coset in part.cosets]

@@ -133,22 +133,18 @@ def idft(s: Spectrum) -> QuotientPoly:
     return QuotientPoly(s.n, spec, tuple(coeffs))
 
 
-def is_rational(s: Spectrum, q: int | None = None) -> bool:
-    """True iff idft(s) lands in F_q(n): values[q*i mod n] = values[i]^q
+def is_rational(s: Spectrum) -> bool:
+    """True iff idft(s) lands in F_q(n), q = p: values[q*i mod n] = values[i]^q
     (a value v < p lies in GF(p), so it is its own q-th power)."""
     spec = s.root.spec
-    if q is None:
-        q = spec.p
-    n, p, values = s.n, spec.p, s.values
-    return all(values[q * i % n] == (v if v < p else spec.power(v, q))
+    n, q, values = s.n, spec.p, s.values
+    return all(values[q * i % n] == (v if v < q else spec.power(v, q))
                for i, v in enumerate(values))
 
 
-def indicator_spectrum(n: int, defining_set, root: RootOfUnity,
-                       q: int | None = None) -> Spectrum:
+def indicator_spectrum(defining_set, root: RootOfUnity) -> Spectrum:
     """F_D: 0 at indices in D, 1 elsewhere; the dft of the code idempotent."""
-    if q is None:
-        q = root.spec.p
+    n, q = root.n, root.spec.p
     d = {i % n for i in defining_set}
     if not is_coset_closed(d, n, q):
         raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")

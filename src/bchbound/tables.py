@@ -21,6 +21,7 @@ from importlib import resources
 from .codes import bose_distance, code_from_defining_set
 from .bounds import code_apparent_distance
 from .errors import UnknownTable
+from .forge import construct_from_divisor, extend_to_bch, find_shift
 from .galois import build_field, nth_root, root_from_x
 from .modring import coset_closure, cyclotomic_cosets, multiplicative_order
 from .polyring import Poly, factor_xn, minimal_polynomial
@@ -91,14 +92,14 @@ def _row_from_code(code, flag=""):
     return ReportRow(code.n, code.q, reps, dim, dist, delta, bose, flag)
 
 
-def _coset_code(n, q, reps, root=None):
-    root = root or _root_for(n, q)
+def _coset_code(n, q, reps):
+    root = _root_for(n, q)
     complement = coset_closure(reps, n, q)
     return code_from_defining_set(n, q, root, frozenset(range(n)) - complement)
 
 
 def _recompute_coset_rows(golden):
-    """Rebuild rows given only (n, q, complement reps); roots are cached."""
+    """Rebuild each distinct row, root included, from (n, q, complement reps)."""
     cache = {}
     for row in golden:
         if row.key() not in cache:
@@ -107,8 +108,6 @@ def _recompute_coset_rows(golden):
 
 
 def _recompute_n15():
-    from .forge import construct_from_divisor, find_shift
-
     root = _root_for(15, 2)
     factors = factor_xn(15, root)
     xn1 = Poly.xn_minus_1(root.spec, 15)
@@ -126,8 +125,6 @@ def _recompute_n15():
 
 
 def _recompute_n21():
-    from .forge import construct_from_divisor, find_shift
-
     root = _root_for(21, 2)
     factors = factor_xn(21, root)
     xn1 = Poly.xn_minus_1(root.spec, 21)
@@ -145,8 +142,6 @@ def _recompute_n21():
 
 
 def _recompute_n45():
-    from .forge import construct_from_divisor, extend_to_bch, find_shift
-
     root = _root_for(45, 2)
     factors = factor_xn(45, root)
     xn1 = Poly.xn_minus_1(root.spec, 45)
@@ -160,8 +155,6 @@ def _recompute_n45():
 
 
 def _recompute_n33():
-    from .forge import construct_from_divisor, extend_to_bch
-
     root = _root_for(33, 2)
     g = (minimal_polynomial(root, 1) * minimal_polynomial(root, 3)
          * minimal_polynomial(root, 5))

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -20,6 +24,20 @@ def test_cosets_json_round_trip(capsys):
     assert payload["representatives"] == [0, 1, 3, 5, 7, 9]
     # parse -> re-emit -> byte equality
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops after one line, like `| head -1`, is no error
+    src = pathlib.Path(cli.__file__).parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bchbound.cli", "cosets", "--n", "65535",
+         "--q", "2", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (cli.EXIT_OK, b"")
 
 
 def test_factor_text(capsys):

@@ -1,15 +1,20 @@
+import importlib
+import inspect
 import itertools
 import json
+import pkgutil
 
 import pytest
 
+import bchbound
+from bchbound.cli import _code_record, _poly_exponents
 from bchbound.codes import (
     bch_code,
     bose_distance,
     code_from_defining_set,
     idempotent_generator,
 )
-from bchbound.errors import ImproperCode, NotCosetClosed
+from bchbound.errors import ImproperCode, NotCosetClosed, RootMismatch
 from bchbound.galois import build_field, nth_root
 from bchbound.modring import (
     coset_closure,
@@ -17,8 +22,8 @@ from bchbound.modring import (
     multiplicative_order,
     representative_set,
 )
-from bchbound.polyring import QuotientPoly
-from bchbound.spectral import dft
+from bchbound.polyring import QuotientPoly, factor_xn
+from bchbound.spectral import dft, idft, indicator_spectrum
 
 
 def _example_code(root21):
@@ -104,7 +109,7 @@ def test_bose_distance_none_for_non_bch(root21):
 
 def test_json_record_round_trips(root21):
     code = _example_code(root21)
-    rec = code.json_record()
+    rec, _ = _code_record(code, {"field_poly": _poly_exponents(code.spec.modulus)})
     text = json.dumps(rec, indent=2, sort_keys=True)
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
     assert rec["dimension"] == 10
@@ -143,3 +148,38 @@ def _closed_set_codes(n, q):
 def test_bose_distance_matches_prefix_oracle(n, q):
     for code in _closed_set_codes(n, q):
         assert bose_distance(code) == _bose_distance_by_prefixes(code)
+
+
+def _public_callables():
+    for info in pkgutil.iter_modules(bchbound.__path__):
+        module = importlib.import_module(f"bchbound.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                    and not name.startswith("_")):
+                yield name, obj
+    for name in bchbound.__all__:
+        obj = getattr(bchbound, name)
+        if not (isinstance(obj, type) and issubclass(obj, Exception)):
+            yield name, obj
+
+
+def test_root_fixes_n_and_q():
+    # the root alone fixes n (root.n) and q (root.spec.p); only the pinned
+    # entry points restate them, and they check what they are given
+    pinned = {"code_from_defining_set", "factor_xn", "Spectrum"}
+    for name, obj in _public_callables():
+        params = set(inspect.signature(obj).parameters)
+        if "root" in params and params & {"n", "q"}:
+            assert name in pinned, name
+
+
+def test_pinned_n_and_q_must_match_the_root(root21):
+    d = coset_closure([1, 3, 7], 21, 2)
+    with pytest.raises(RootMismatch):
+        code_from_defining_set(15, 2, root21, d)
+    with pytest.raises(RootMismatch):
+        code_from_defining_set(21, 3, root21, d)
+    with pytest.raises(RootMismatch):
+        factor_xn(15, root21)
+    e = idft(indicator_spectrum(d, root21))
+    assert e.n == len(e.coeffs) == 21

@@ -43,6 +43,16 @@ def test_coset_regenerates_from_any_member():
                 assert cyclotomic_coset(a, n, q) == c
 
 
+def test_coset_refuses_a_non_coprime_pair():
+    # the orbit 1 -> 3 -> 9 -> 6 -> ... mod 21 never returns to 1
+    with pytest.raises(NotCoprime):
+        cyclotomic_coset(1, 21, 3)
+    with pytest.raises(NotCoprime):
+        coset_closure([1], 21, 3)
+    with pytest.raises(NotCoprime):
+        cyclotomic_coset(0, 0, 2)
+
+
 def test_representative_set_n21():
     reps = representative_set(cyclotomic_cosets(21, 2))
     assert sorted(reps.members) == [1, 5]

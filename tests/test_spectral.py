@@ -231,12 +231,12 @@ def test_is_rational_matches_int_coeffs(root15, root11_3):
                 landed = True
             except CoefficientLeak:
                 landed = False
-            assert is_rational(s, q) == landed
+            assert is_rational(s) == landed
 
 
 def test_indicator_spectrum_is_idempotent(root21):
     d = coset_closure([1, 3, 7], 21, 2)
-    s = indicator_spectrum(21, d, root21, 2)
+    s = indicator_spectrum(d, root21)
     assert s.is_idempotent()
     assert s.zero_set() == d
     assert s.support() == frozenset(range(21)) - d
@@ -246,14 +246,14 @@ def test_indicator_spectrum_is_idempotent(root21):
 
 def test_indicator_spectrum_requires_closed_set(root21):
     with pytest.raises(NotCosetClosed):
-        indicator_spectrum(21, {1, 2}, root21, 2)
+        indicator_spectrum({1, 2}, root21)
 
 
 def test_idempotent_spectrum_n17(root17):
     # the defining set C(1) yields an idempotent supported on {0} u C(1)
     # whose spectrum is exactly the 0/1 indicator of the non-zeros
     d = coset_closure([1], 17, 2)
-    s = indicator_spectrum(17, d, root17, 2)
+    s = indicator_spectrum(d, root17)
     assert str(s) == "( 1 0 0 1 0 1 1 1 0 0 1 1 1 0 1 0 0 )"
     e = idft(s)
     assert sorted(e.support()) == [0, 1, 2, 4, 8, 9, 13, 15, 16]
