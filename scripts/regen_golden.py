@@ -136,7 +136,8 @@ BUILT_TABLES = {
 }
 
 
-def emit(name, header, rows, comments):
+def render(header, rows, comments) -> str:
+    """The text of one golden CSV: header, provenance comments and rows."""
     buf = io.StringIO()
     buf.write(f"# {header}\n")
     buf.write("# regenerate with scripts/regen_golden.py\n")
@@ -148,20 +149,25 @@ def emit(name, header, rows, comments):
         if comment:
             buf.write(f"# {comment}\n")
         buf.write(line + "\n")
-    path = GOLDEN / f"{name}.csv"
-    path.write_text(buf.getvalue())
-    print(f"wrote {path} ({len(rows)} rows)")
+    return buf.getvalue()
 
 
-def main():
+def golden_tables():
+    """(name, header, recomputed rows, comments) of each golden table."""
     for name, (header, spec) in COSET_TABLES.items():
         stubs = [ReportRow(n, 2, reps, 0, 0, 0, None, flag)
                  for n, reps, flag, _ in spec]
         rows = tables._recompute_coset_rows(stubs)
-        emit(name, header, rows, [c for _, _, _, c in spec])
+        yield name, header, rows, [c for _, _, _, c in spec]
     for name, (header, comments) in BUILT_TABLES.items():
-        rows = tables.recompute(name)
-        emit(name, header, rows, comments)
+        yield name, header, tables.recompute(name), comments
+
+
+def main():
+    for name, header, rows, comments in golden_tables():
+        path = GOLDEN / f"{name}.csv"
+        path.write_text(render(header, rows, comments))
+        print(f"wrote {path} ({len(rows)} rows)")
 
 
 if __name__ == "__main__":

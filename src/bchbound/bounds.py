@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import CyclicCode
-from .errors import BudgetExceeded
 from .modring import cyclic_runs, cyclotomic_cosets, representative_set
 from .polyring import Poly, QuotientPoly, cyclic_shift, divisor_enumerate, factor_xn
 from .spectral import Spectrum, is_rational
@@ -96,17 +95,11 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     allowed = {a: frozenset(range(n)) - d_a
                for a, (d_a, dstar, _) in report.per_representative.items()
                if a in report.optimal_reps}
-    spent = 0
-    try:
-        for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
-                                           budget=budget):
-            spent += 1
-            cert = _check_divisor(code, g, allowed)
-            if cert is not None:
-                return cert
-    except BudgetExceeded:
-        raise BudgetExceeded(
-            f"divisor budget {budget} exhausted after {spent} candidates")
+    for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
+                                       budget=budget):
+        cert = _check_divisor(code, g, allowed)
+        if cert is not None:
+            return cert
     return None
 
 

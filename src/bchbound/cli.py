@@ -184,16 +184,17 @@ def _build_code(args):
 def cmd_cosets(args):
     part = cyclotomic_cosets(args.n, args.q)
     reps = representative_set(part)
+    order = reps.order
     payload = {
         "n": args.n,
         "q": args.q,
         "cosets": [list(c) for c in part.cosets],
         "representatives": [c[0] for c in part.cosets],
         "a_set": sorted(reps.members),
-        "order": reps.order,
+        "order": order,
     }
     lines = [f"{len(part.cosets)} cosets mod {args.n} under multiplication "
-             f"by {args.q} (ord = {reps.order})"]
+             f"by {args.q} (ord = {order})"]
     lines += [f"  C({c[0]}) = {{{', '.join(map(str, c))}}}" for c in part.cosets]
     lines.append(f"A({args.n}) = {{{', '.join(map(str, sorted(reps.members)))}}}")
     _emit(args, payload, lines)
@@ -461,7 +462,7 @@ def build_parser():
     sub.add_argument("--j", type=int, default=None,
                      help="congruence mode: evaluation exponent")
     sub.add_argument("--verify", action="store_true",
-                     help="recheck bound, dimension and distance")
+                     help="recheck bound and distance")
     sub.set_defaults(func=cmd_forge)
 
     sub = subs.add_parser("reproduce", help="recompute a reference table "

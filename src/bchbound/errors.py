@@ -38,8 +38,8 @@ class NotCosetClosed(BchboundError):
 
 
 class RootMismatch(BchboundError):
-    """Two spectra built over different roots were combined, or an n or q
-    passed beside a root disagrees with its order n or its field's p."""
+    """Two spectra built over different roots were combined, or an n, q or m
+    passed beside a root, or a spectrum's length, disagrees with the root."""
 
 
 class ImproperCode(BchboundError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 from .bounds import code_apparent_distance, zero_runs
 from .codes import BchSpec, CyclicCode, bch_code, code_from_defining_set
-from .errors import NotIrreducible, NotPrimitiveLength, NotRational
+from .errors import NotIrreducible, NotPrimitiveLength, NotRational, RootMismatch
 from .galois import RootOfUnity, build_field, nth_root
 from .modring import (
     coset_closure,
@@ -34,10 +34,13 @@ class ConstructionRecord:
     divisor: Poly
     k: int
     code: CyclicCode
-    dimension: int
     bch_bound: int  # claimed Delta = d
     generator_word: QuotientPoly  # the idft codeword that generates the code
     verified: bool = False
+
+    @property
+    def dimension(self):
+        return self.code.dimension
 
     def verify(self, cap=DEFAULT_CAP) -> "ConstructionRecord":
         """Re-check the claims: Delta from bounds, d by min_distance.
@@ -49,8 +52,6 @@ class ConstructionRecord:
         report = code_apparent_distance(self.code)
         if report.overall != self.bch_bound:
             raise AssertionError("claimed BCH bound does not recompute")
-        if self.code.dimension != self.dimension:
-            raise AssertionError("claimed dimension does not recompute")
         res = min_distance(self.code, cap=cap, stop_at=self.bch_bound)
         if res.distance < self.bch_bound or res.lower_bound > self.bch_bound:
             raise AssertionError("minimum distance does not meet the bound")
@@ -67,8 +68,7 @@ def _rational_shift(g: Poly, k: int, root: RootOfUnity) -> Spectrum:
     return s
 
 
-def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
-                           source: str = "divisor") -> ConstructionRecord:
+def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRecord:
     """Corollary route: the code generated by idft of the shifted divisor.
 
     g must divide x^n - 1 over a subfield of L; the shifted coefficient
@@ -79,13 +79,10 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity,
     s = _rational_shift(g, k, root)
     word = idft(s)
     word.int_coeffs()
-    d_set = frozenset(range(n)) - s.support()
-    code = code_from_defining_set(n, root.spec.p, root, d_set)
+    code = code_from_defining_set(n, root.spec.p, root, s.zero_set())
     assert code.contains(word)
-    return ConstructionRecord(source, g, k % n, code,
-                              dimension=len(s.support()),
-                              bch_bound=n - g.degree,
-                              generator_word=word)
+    return ConstructionRecord("divisor", g, k % n, code,
+                              bch_bound=n - g.degree, generator_word=word)
 
 
 def find_shift(g: Poly, root: RootOfUnity):
@@ -129,19 +126,23 @@ def congruence_construct(h: Poly, j: int, root: RootOfUnity):
     k = solve_linear_congruence(scale * j, (-scale * t) % (n // gamma), n // gamma)
     if k is None:
         return None
-    return construct_from_divisor(g, k, root, source="congruence")
+    return replace(construct_from_divisor(g, k, root), source="congruence")
 
 
 def primitive_family(m: int, root: RootOfUnity | None = None):
     """One record per coprime coset at primitive length n = 2^m - 1.
 
-    Returns exactly phi(n)/m records with pairwise distinct defining sets.
+    Returns exactly phi(n)/m records with pairwise distinct defining sets;
+    RootMismatch unless the root has order n over a field of characteristic 2.
     """
     if m < 2:
         raise NotPrimitiveLength(f"m must be >= 2, not {m}")
     n = (1 << m) - 1
     if root is None:
         root = nth_root(build_field(2, m), n)
+    if (root.n, root.spec.p) != (n, 2):
+        raise RootMismatch(f"m = {m} needs a root of order {n} over GF(2), "
+                           f"not {root.n} over GF({root.spec.p})")
     reps = representative_set(cyclotomic_cosets(n, 2)).members
     records = []
     for a in reps:
@@ -149,9 +150,7 @@ def primitive_family(m: int, root: RootOfUnity | None = None):
         rec = congruence_construct(h, a, root)
         if rec is None:  # guaranteed by primitivity of alpha
             raise AssertionError(f"congruence route failed at coset {a}")
-        records.append(ConstructionRecord("primitive-family", rec.divisor, rec.k,
-                                          rec.code, rec.dimension, rec.bch_bound,
-                                          rec.generator_word))
+        records.append(replace(rec, source="primitive-family"))
     assert len(records) == totient(n) // m
     return records
 
@@ -184,5 +183,4 @@ def record_for_bch(spec: BchSpec) -> ConstructionRecord:
     """Wrap an extension output with its (recomputed) claims."""
     report = code_apparent_distance(spec.code)
     return ConstructionRecord("extension", spec.code.generator, spec.b,
-                              spec.code, spec.code.dimension, report.overall,
-                              spec.code.idempotent)
+                              spec.code, report.overall, spec.code.idempotent)

@@ -298,15 +298,8 @@ class FieldSpec:
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]] if a and b else 0
-        da, db = self.decode(a), self.decode(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        prod = [c % self.p for c in prod]
-        red = _polmod(_trim(prod), list(self.modulus), self.p)
-        return self.encode(red + [0] * (self.m - len(red)))
+        return self.encode(_polmod(_polmul(self.decode(a), self.decode(b),
+                                           self.p), self.modulus, self.p))
 
     def power(self, a: int, e: int) -> int:
         if self._log is not None:
@@ -491,11 +484,11 @@ def default_modulus(p: int, m: int):
             v //= p
         if coeffs[0] == 0:
             continue
-        if not is_irreducible(coeffs, p):
+        try:  # only x-bar's order is read, so a candidate builds no tables
+            if FieldSpec(p, m, coeffs, tables=False).x_is_primitive:
+                return tuple(coeffs)
+        except RejectedModulus:  # reducible
             continue
-        # only x-bar's order is read, so a rejected candidate builds no tables
-        if FieldSpec(p, m, coeffs, tables=False).x_is_primitive:
-            return tuple(coeffs)
     raise NoDefaultPolynomial(f"no primitive polynomial found for ({p}, {m})")
 
 

@@ -41,7 +41,11 @@ class RepresentativeSet:
     n: int
     q: int
     members: tuple
-    order: int  # ord_n(q) = |C_q(a)| for every member
+
+    @property
+    def order(self):
+        """ord_n(q) = |C_q(a)| for every member."""
+        return multiplicative_order(self.q, self.n)
 
 
 def _check(n: int, q: int):
@@ -116,8 +120,7 @@ def representative_set(partition: CosetPartition) -> RepresentativeSet:
     """A(n): minima of the cosets whose elements are coprime to n."""
     n, q = partition.n, partition.q
     members = tuple(r for r in partition.representatives if math.gcd(r, n) == 1)
-    order = multiplicative_order(q, n)
-    return RepresentativeSet(n, q, members, order)
+    return RepresentativeSet(n, q, members)
 
 
 def coset_closure(indices, n: int, q: int) -> frozenset:

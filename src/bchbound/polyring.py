@@ -176,21 +176,24 @@ def _int_coeffs(spec: FieldSpec, coeffs) -> list:
 class QuotientPoly:
     """Element of L[x]/(x^n - 1): a fixed-length coefficient vector."""
 
-    n: int
     spec: FieldSpec
-    coeffs: tuple  # length n, packed int values
+    coeffs: tuple  # packed int values, one per exponent 0, ..., n - 1
+
+    @property
+    def n(self):
+        return len(self.coeffs)
 
     @classmethod
     def from_poly(cls, p: Poly, n: int):
         if p.degree >= n:
             p = p % Poly.xn_minus_1(p.spec, n)
         c = list(p.coeffs) + [0] * (n - len(p.coeffs))
-        return cls(n, p.spec, tuple(c))
+        return cls(p.spec, tuple(c))
 
     @classmethod
     def from_ints(cls, spec, n, ints):
         c = [i % spec.p for i in ints] + [0] * (n - len(ints))
-        return cls(n, spec, tuple(c[:n]))
+        return cls(spec, tuple(c[:n]))
 
     def to_poly(self) -> Poly:
         return Poly(self.spec, self.coeffs)
@@ -206,7 +209,7 @@ class QuotientPoly:
 
     def __add__(self, other):
         s = self.spec
-        return QuotientPoly(self.n, s, tuple(
+        return QuotientPoly(s, tuple(
             s.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
@@ -223,7 +226,7 @@ def cyclic_shift(f: QuotientPoly, h: int) -> QuotientPoly:
     n = f.n
     h %= n
     c = f.coeffs
-    return QuotientPoly(n, f.spec, c[n - h:] + c[:n - h])
+    return QuotientPoly(f.spec, c[n - h:] + c[:n - h])
 
 
 def gcd_with_xn(f: QuotientPoly) -> Poly:
@@ -260,20 +263,19 @@ def minimal_polynomial(root: RootOfUnity, s: int) -> Poly:
 class FactorList:
     """Irreducible factors of x^n - 1 over GF(p^d), with their root cosets."""
 
-    n: int
-    spec: FieldSpec
+    root: RootOfUnity
     subfield_degree: int
     factors: tuple  # tuple of (Poly, frozenset root-exponent coset)
 
     def full_product(self) -> Poly:
-        out = Poly.one(self.spec)
+        out = Poly.one(self.root.spec)
         for f, _ in self.factors:
             out = out * f
         return out
 
     def factor_for_coset_rep(self, rep: int) -> Poly:
         for f, coset in self.factors:
-            if rep % self.n in coset:
+            if rep % self.root.n in coset:
                 return f
         raise KeyError(rep)
 
@@ -290,7 +292,7 @@ def factor_xn(n: int, root: RootOfUnity, subfield_degree: int = 1) -> FactorList
     factors = [(_coset_product(root, coset, subfield_degree), frozenset(coset))
                for coset in part.cosets]
     factors.sort(key=lambda fc: min(fc[1]))
-    return FactorList(n, spec, subfield_degree, tuple(factors))
+    return FactorList(root, subfield_degree, tuple(factors))
 
 
 def divisor_enumerate(factors: FactorList, target_degree: int | None = None,
@@ -301,7 +303,7 @@ def divisor_enumerate(factors: FactorList, target_degree: int | None = None,
     indices.  Divisors of degree n (x^n - 1 itself) are never emitted.  When
     a budget is given, raises BudgetExceeded after that many emissions.
     """
-    n = factors.n
+    n = factors.root.n
     degs = [f.degree for f, _ in factors.factors]
     count = 0
     for r in range(len(degs) + 1):
@@ -312,9 +314,10 @@ def divisor_enumerate(factors: FactorList, target_degree: int | None = None,
             if target_degree is not None and d != target_degree:
                 continue
             if budget is not None and count >= budget:
-                raise BudgetExceeded(f"divisor budget {budget} exhausted")
+                raise BudgetExceeded(f"divisor budget {budget} exhausted "
+                                     f"after {count} candidates")
             count += 1
-            prod = Poly.one(factors.spec)
+            prod = Poly.one(factors.root.spec)
             roots = set()
             for i in idxs:
                 prod = prod * factors.factors[i][0]

@@ -35,6 +35,11 @@ class Spectrum:
     root: RootOfUnity
     values: tuple  # packed field values, length n
 
+    def __post_init__(self):
+        if not self.n == self.root.n == len(self.values):
+            raise RootMismatch(f"n = {self.n} with {len(self.values)} values, "
+                               f"over a root of order {self.root.n}")
+
     def support(self):
         return frozenset(i for i, v in enumerate(self.values) if v)
 
@@ -130,7 +135,7 @@ def idft(s: Spectrum) -> QuotientPoly:
     coeffs = _transform(s.values, s.root, -1)
     if n_inv != 1:
         coeffs = [spec.mul(n_inv, c) for c in coeffs]
-    return QuotientPoly(s.n, spec, tuple(coeffs))
+    return QuotientPoly(spec, tuple(coeffs))
 
 
 def is_rational(s: Spectrum) -> bool:

@@ -36,8 +36,12 @@ class DistanceResult:
     distance: int  # weight of the witness: an upper bound on d
     witness: tuple  # coefficient vector over GF(q), length n
     enumerated: int  # messages visited
-    exhaustive: bool  # d is proven: lower_bound == distance
     lower_bound: int
+
+    @property
+    def exhaustive(self):
+        """d is proven: the lower bound meets the witness's weight."""
+        return self.lower_bound == self.distance
 
 
 def generator_rows(code: CyclicCode):
@@ -125,7 +129,7 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP,
         lower = best
     if q == 2:
         word = [(word >> i) & 1 for i in range(n)]
-    return DistanceResult(best, tuple(word), visited, lower == best, lower)
+    return DistanceResult(best, tuple(word), visited, lower)
 
 
 def witness_in_code(code: CyclicCode, result: DistanceResult) -> bool:

@@ -175,7 +175,7 @@ def test_criterion_9_property_suites():
             continue
         words += 1
         s = dft(c, root)
-        ms = QuotientPoly(n, root.spec, s.values)
+        ms = QuotientPoly(root.spec, s.values)
         if c.weight() != n - gcd_with_xn(ms).degree:
             ok = False
 

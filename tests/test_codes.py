@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -22,8 +23,11 @@ from bchbound.modring import (
     multiplicative_order,
     representative_set,
 )
-from bchbound.polyring import QuotientPoly, factor_xn
-from bchbound.spectral import dft, idft, indicator_spectrum
+from bchbound.forge import ConstructionRecord, construct_from_divisor, primitive_family
+from bchbound.modring import RepresentativeSet
+from bchbound.polyring import FactorList, QuotientPoly, factor_xn
+from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum
+from bchbound.wtdist import DistanceResult, min_distance
 
 
 def _example_code(root21):
@@ -183,3 +187,42 @@ def test_pinned_n_and_q_must_match_the_root(root21):
         factor_xn(15, root21)
     e = idft(indicator_spectrum(d, root21))
     assert e.n == len(e.coeffs) == 21
+
+
+def test_restated_n_and_m_must_match_the_root(root21):
+    with pytest.raises(RootMismatch):
+        Spectrum(15, root21, (1,) * 15)
+    with pytest.raises(RootMismatch):
+        Spectrum(21, root21, (1,) * 15)
+    with pytest.raises(RootMismatch):
+        primitive_family(4, root21)
+    with pytest.raises(RootMismatch):  # order 7, but over GF(3^6)
+        primitive_family(3, nth_root(build_field(3, 6), 7))
+    # the field of the root may be larger than GF(2^m)
+    wide = primitive_family(4, nth_root(build_field(2, 8), 15))
+    assert [(r.dimension, r.bch_bound) for r in wide] == [
+        (r.dimension, r.bch_bound) for r in primitive_family(4)]
+
+
+def test_derived_values_are_properties(root21):
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(QuotientPoly) == ["spec", "coeffs"]
+    assert names(FactorList) == ["root", "subfield_degree", "factors"]
+    assert names(RepresentativeSet) == ["n", "q", "members"]
+    assert names(DistanceResult) == ["distance", "witness", "enumerated",
+                                     "lower_bound"]
+    assert "dimension" not in names(ConstructionRecord)
+    assert "source" not in inspect.signature(construct_from_divisor).parameters
+    # and each reads what it used to hold
+    factors = factor_xn(21, root21)
+    assert factors.root == root21
+    assert QuotientPoly.from_ints(root21.spec, 21, [1]).n == 21
+    assert representative_set(cyclotomic_cosets(21, 2)).order == 6
+    code = _example_code(root21)
+    res = min_distance(code)
+    assert res.exhaustive and res.lower_bound == res.distance
+    assert not min_distance(code, cap=1).exhaustive
+    rec = primitive_family(4)[0]
+    assert rec.dimension == rec.code.dimension == 8

@@ -161,7 +161,7 @@ def test_divisor_enumerate_counts(root15):
         assert poly.degree == 8
         rem = Poly.xn_minus_1(root15.spec, 15).divmod(poly)[1]
         assert rem.is_zero()
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="budget 3 exhausted after 3 candidates"):
         list(divisor_enumerate(factors, budget=3))
 
 

@@ -62,7 +62,7 @@ _oracle = settings(max_examples=4, deadline=None)
 def test_transforms_match_horner_on_prime_field_input(n, q, m, data):
     root = _root(n, q, m)
     values = data.draw(_values(q, n, n))
-    word = QuotientPoly(n, root.spec, tuple(values))
+    word = QuotientPoly(root.spec, tuple(values))
     assert dft(word, root).values == _horner(values, root, 1)
     s = Spectrum(n, root, tuple(values))
     assert idft(s).coeffs == _horner_idft(values, root)
@@ -79,7 +79,7 @@ def test_transforms_match_horner_on_field_valued_input(n, q, m, data):
         st.integers(q, root.spec.order - 1))
     s = Spectrum(n, root, tuple(values))
     assert idft(s).coeffs == _horner_idft(values, root)
-    word = QuotientPoly(n, root.spec, tuple(values))
+    word = QuotientPoly(root.spec, tuple(values))
     assert dft(word, root).values == _horner(values, root, 1)
 
 
@@ -92,12 +92,12 @@ def test_transforms_keep_the_basis_order(n, q, m, data):
     root = _root(n, q, m)
     spec = root.spec
     w = data.draw(_values(q, n, n))
-    word_s = dft(QuotientPoly(n, spec, tuple(w)), root).values
+    word_s = dft(QuotientPoly(spec, tuple(w)), root).values
     back = idft(Spectrum(n, root, tuple(w))).coeffs
     xk = 1
     for _ in range(m):
         scaled = tuple(spec.mul(xk, c) for c in w)
-        assert dft(QuotientPoly(n, spec, scaled), root).values == tuple(
+        assert dft(QuotientPoly(spec, scaled), root).values == tuple(
             spec.mul(xk, v) for v in word_s)
         assert idft(Spectrum(n, root, scaled)).coeffs == tuple(
             spec.mul(xk, c) for c in back)
@@ -119,7 +119,7 @@ def test_dft_of_long_poly_matches_horner(n, q, m, data):
 @pytest.mark.parametrize("n,q,m", SETUPS)
 def test_transforms_of_zero(n, q, m):
     root = _root(n, q, m)
-    zero = QuotientPoly(n, root.spec, (0,) * n)
+    zero = QuotientPoly(root.spec, (0,) * n)
     assert dft(zero, root).values == (0,) * n
     assert dft(Poly.zero(root.spec), root).values == (0,) * n
     assert idft(Spectrum(n, root, (0,) * n)) == zero

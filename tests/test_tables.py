@@ -1,4 +1,6 @@
+import importlib.util
 import io
+import pathlib
 
 import pytest
 
@@ -55,3 +57,16 @@ def test_dimension_is_complement_size():
             from bchbound.modring import coset_closure
             comp = coset_closure(row.complement_reps, row.n, row.q)
             assert row.dimension == len(comp)
+
+
+def test_golden_files_regenerate_byte_for_byte():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts/regen_golden.py"
+    spec = importlib.util.spec_from_file_location("regen_golden", script)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    names = []
+    for name, header, rows, comments in regen.golden_tables():
+        names.append(name)
+        shipped = (regen.GOLDEN / f"{name}.csv").read_text()
+        assert regen.render(header, rows, comments) == shipped, name
+    assert len(names) == len(tables.TABLE_IDS) == 8
