@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import CyclicCode
+from .galois import RootOfUnity
 from .modring import cyclic_runs, cyclotomic_cosets, representative_set
 from .polyring import Poly, QuotientPoly, cyclic_shift, divisor_enumerate, factor_xn
 from .spectral import Spectrum, is_rational
@@ -74,10 +75,13 @@ class Certificate:
     divisor: Poly
     k: int
     representative: int
+    root: RootOfUnity  # the root the code and the divisor's n belong to
 
-    def codeword_spectrum(self, n):
-        f = QuotientPoly.from_poly(self.divisor, n)
-        return cyclic_shift(f, self.k)
+    def codeword_spectrum(self) -> Spectrum:
+        """x^k * g mod x^n - 1, read as a spectrum over the root; rational,
+        and supported off a*D for the certificate's representative a."""
+        f = QuotientPoly.from_poly(self.divisor, self.root.n)
+        return Spectrum(self.root.n, self.root, cyclic_shift(f, self.k).coeffs)
 
 
 def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
@@ -113,5 +117,5 @@ def _check_divisor(code: CyclicCode, g: Poly, allowed):
                 continue
             s = Spectrum(n, code.root, cyclic_shift(f, k).coeffs)
             if is_rational(s):
-                return Certificate(g, k, a)
+                return Certificate(g, k, a, code.root)
     return None

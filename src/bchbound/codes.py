@@ -109,16 +109,23 @@ def bose_distance(code: CyclicCode):
     beta^a = alpha maps D to a*D) and every maximal cyclic run of a*D.  A
     window's closure only grows with the window and stays inside the closed
     set a*D, so a window closing to a*D lies in a maximal run that does too:
-    one closure per run is enough.
+    one closure per run is enough.  The closure of a run is the union of
+    the cosets its members lie in, so it is a*D exactly when the run meets
+    as many cosets as D has (multiplying by a maps cosets onto cosets).
     """
     n, q = code.n, code.q
-    reps = representative_set(cyclotomic_cosets(n, q)).members
+    partition = cyclotomic_cosets(n, q)
+    label = [0] * n
+    for index, coset in enumerate(partition.cosets):
+        for i in coset:
+            label[i] = index
+    wanted = len({label[i] for i in code.defining_set})
     best = None
-    for a in reps:
+    for a in representative_set(partition).members:
         d_a = frozenset(a * i % n for i in code.defining_set)
         for b, length in cyclic_runs(d_a, n):
             if best is not None and length < best:
                 continue  # cannot beat the best window found so far
-            if coset_closure(range(b, b + length), n, q) == d_a:
+            if len({label[(b + j) % n] for j in range(length)}) == wanted:
                 best = length + 1
     return best

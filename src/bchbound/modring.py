@@ -26,13 +26,6 @@ class CosetPartition:
     def representatives(self):
         return tuple(c[0] for c in self.cosets)
 
-    def coset_of(self, a: int):
-        a %= self.n
-        for c in self.cosets:
-            if a in c:
-                return c
-        raise KeyError(a)
-
 
 @dataclass(frozen=True)
 class RepresentativeSet:

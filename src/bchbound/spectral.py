@@ -1,29 +1,37 @@
 """Discrete Fourier (Mattson-Solomon) transform over the splitting field.
 
 Spectra are length-n vectors over L = GF(p^m); index i holds f(alpha^i).
-Both transforms take one path for every input, built on the root's table
-of alpha-powers:
+Both transforms take one of two paths:
 
-* a prime-field vector (every value in GF(p), such as a word over GF(p),
-  an indicator spectrum or a shifted divisor) is summed from the table:
-  each output at a p-cyclotomic coset representative is a sum of table
-  entries (an XOR for p = 2), and the rest of the coset follows by
-  Frobenius, out[p*i] = out[i]^p;
+* a prime-field vector of length n that is constant on p-cyclotomic
+  cosets (an indicator spectrum, an idempotent) is summed by cosets: the
+  sum over a coset C of r of alpha^(i*j) is a trace of alpha^(i*r), so
+  each output is a GF(p) sum with one trace per input coset off the most
+  common value (see _coset_transform);
+* any other prime-field vector (a word over GF(p), a shifted divisor) is
+  summed from the root's table of alpha-powers: each output at a
+  p-cyclotomic coset representative is a sum of table entries (an XOR for
+  p = 2), and the rest of the coset follows by Frobenius,
+  out[p*i] = out[i]^p;
 * an L-valued vector is split into its m prime-field coordinate vectors,
-  each summed as above; by GF(p)-linearity the m results recombine
+  each transformed as above; by GF(p)-linearity the m results recombine
   exactly (see _transform).
 
-is_rational, the one rationality test, decides whether a spectrum inverts
-into F_q(n); certificates and shifted-divisor constructions both use it.
+The table path serves every input and is the reference the coset path is
+tested against.  is_rational, the one rationality test, decides whether a
+spectrum inverts into F_q(n); certificates and shifted-divisor
+constructions both use it.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotCosetClosed, RootMismatch
-from .galois import RootOfUnity, poly_str
-from .modring import is_coset_closed
+from .galois import FieldSpec, RootOfUnity, poly_str
+from .modring import cyclotomic_cosets, is_coset_closed
 from .polyring import Poly, QuotientPoly
 
 
@@ -45,18 +53,6 @@ class Spectrum:
 
     def zero_set(self):
         return frozenset(i for i, v in enumerate(self.values) if not v)
-
-    def star(self, other: "Spectrum") -> "Spectrum":
-        """Coordinatewise product (the transform-side ring multiplication)."""
-        if self.root != other.root:
-            raise RootMismatch("spectra over different roots")
-        spec = self.root.spec
-        return Spectrum(self.n, self.root, tuple(
-            spec.mul(a, b) for a, b in zip(self.values, other.values)))
-
-    def is_idempotent(self):
-        spec = self.root.spec
-        return all(spec.mul(v, v) == v for v in self.values)
 
     def __str__(self):
         if all(v in (0, 1) for v in self.values):
@@ -93,6 +89,16 @@ def _transform(coeffs, root: RootOfUnity, sign: int):
 
 
 def _prime_transform(coeffs, root: RootOfUnity, sign: int):
+    """_transform for coeffs in GF(p): by cosets when coeffs is constant
+    on the p-cyclotomic cosets mod n, else from the table."""
+    n, p = root.n, root.spec.p
+    if len(coeffs) == n and all(coeffs[p * j % n] == c
+                                for j, c in enumerate(coeffs)):
+        return _coset_transform(coeffs, root, sign)
+    return _table_transform(coeffs, root, sign)
+
+
+def _table_transform(coeffs, root: RootOfUnity, sign: int):
     """_transform for coeffs in GF(p), from the table of alpha-powers."""
     spec, n, powers = root.spec, root.n, root.powers
     p = spec.p
@@ -121,6 +127,64 @@ def _prime_transform(coeffs, root: RootOfUnity, sign: int):
             out[k] = acc
             k = p * k % n
     return out
+
+
+def _coset_transform(coeffs, root: RootOfUnity, sign: int):
+    """_table_transform for coeffs of length n constant on p-cosets.
+
+    With c the most common value, coeffs = c + sum_C (v_C - c) * [C] over
+    the cosets C with value v_C != c.  The constant c transforms to n*c at
+    i = 0 and to 0 elsewhere.  For a coset C of r, the sum of
+    alpha^(s*i*j) over j in C is the trace from GF(p^|C|) to GF(p) of
+    alpha^(s*i*r), an element of GF(p).  For |C| = m that is the field
+    trace (_trace); a shorter coset is summed from the table, because the
+    field trace is m/|C| times the smaller one and p may divide m/|C|.
+    Every output lies in GF(p), so it is constant on the coset of i.
+    """
+    spec, n, powers = root.spec, root.n, root.powers
+    p, m, add = spec.p, spec.m, spec.add
+    cosets = cyclotomic_cosets(n, p).cosets
+    counts = Counter(coeffs)  # not most_common, which imports heapq
+    c = max(counts, key=counts.get)
+    terms = [(coset, (coeffs[coset[0]] - c) % p) for coset in cosets
+             if coeffs[coset[0]] != c]
+    trace = _trace(spec)
+    out = [0] * n
+    for out_coset in cosets:
+        step = sign * out_coset[0] % n
+        acc = 0 if step else n * c
+        for coset, w in terms:
+            if len(coset) == m:
+                tr = trace(powers[step * coset[0] % n])
+            else:
+                tr = functools.reduce(
+                    add, (powers[step * j % n] for j in coset))
+            acc += w * tr
+        acc %= p
+        for i in out_coset:
+            out[i] = acc
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _trace(spec: FieldSpec):
+    """The absolute trace GF(p^m) -> GF(p), as a function of packed values.
+
+    Tr is GF(p)-linear, so Tr(v) is the dot product of v's digits with the
+    basis traces t_k = Tr(xbar^k).  These are the power sums of the roots
+    of the modulus f = x^m + f_(m-1) x^(m-1) + ... + f_0 (the conjugates
+    of xbar), so Newton's identities give them in O(m^2) steps:
+    t_0 = m and t_k = -(k f_(m-k) + sum_(0<i<k) f_(m-i) t_(k-i)).
+    """
+    p, m, f = spec.p, spec.m, spec.modulus
+    t = [m % p]
+    for k in range(1, m):
+        t.append(-(k * f[m - k] + sum(f[m - i] * t[k - i]
+                                      for i in range(1, k))) % p)
+    if p == 2:
+        mask = sum(bit << k for k, bit in enumerate(t))
+        return lambda v: (v & mask).bit_count() & 1
+    return lambda v: sum(d * tk for d, tk in zip(spec.decode(v), t)) % p
 
 
 def dft(f: QuotientPoly | Poly, root: RootOfUnity) -> Spectrum:

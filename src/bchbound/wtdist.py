@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .codes import CyclicCode
-from .polyring import QuotientPoly
 
 DEFAULT_CAP = 1 << 30
 
@@ -131,8 +130,3 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP,
         word = [(word >> i) & 1 for i in range(n)]
     return DistanceResult(best, tuple(word), visited, lower)
 
-
-def witness_in_code(code: CyclicCode, result: DistanceResult) -> bool:
-    """Sanity check: the witness is a codeword (spectrum support avoids D)."""
-    qp = QuotientPoly.from_ints(code.spec, code.n, result.witness)
-    return code.contains(qp)

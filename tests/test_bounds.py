@@ -12,7 +12,7 @@ from bchbound.codes import code_from_defining_set
 from bchbound.errors import BudgetExceeded
 from bchbound.galois import build_field, nth_root
 from bchbound.modring import coset_closure, cyclotomic_cosets
-from bchbound.spectral import dft
+from bchbound.spectral import dft, idft, is_rational
 from bchbound.wtdist import min_distance
 
 
@@ -85,11 +85,27 @@ def test_certify_equality_n21(root21):
     assert cert.representative in report.optimal_reps
     # the shifted divisor's coefficient support lands in the non-zeros of
     # the code seen through the certificate's representative
-    spectrum = cert.codeword_spectrum(21)
+    spectrum = cert.codeword_spectrum()
     d_a = frozenset(cert.representative * i % 21 for i in code.defining_set)
     assert spectrum.support() <= frozenset(range(21)) - d_a
+    assert is_rational(spectrum)
     # and the certified equality holds
     assert min_distance(code).distance == 5
+
+
+def test_certificate_keeps_its_root(root21):
+    # the certificate reads n from the root it was found for; it takes no
+    # n of its own, so it cannot be read at the wrong length
+    code = code_from_defining_set(21, 2, root21,
+                                  coset_closure([1, 3, 7], 21, 2))
+    cert = certify_equality(code)
+    assert cert.root == root21
+    spectrum = cert.codeword_spectrum()
+    assert spectrum.n == len(spectrum.values) == 21
+    with pytest.raises(TypeError):
+        cert.codeword_spectrum(15)
+    # its codeword vanishes at the n - Delta roots of the divisor
+    assert idft(spectrum).weight() == 5
 
 
 def test_certify_equality_budget():

@@ -19,6 +19,7 @@ from bchbound.errors import ImproperCode, NotCosetClosed, RootMismatch
 from bchbound.galois import build_field, nth_root
 from bchbound.modring import (
     coset_closure,
+    cyclic_runs,
     cyclotomic_cosets,
     multiplicative_order,
     representative_set,
@@ -152,6 +153,33 @@ def _closed_set_codes(n, q):
 def test_bose_distance_matches_prefix_oracle(n, q):
     for code in _closed_set_codes(n, q):
         assert bose_distance(code) == _bose_distance_by_prefixes(code)
+
+
+def _bose_distance_by_closure(code):
+    """Reference: the closure of each maximal run of each a*D, compared
+    with a*D itself (a window closing to a*D lies in such a run)."""
+    n, q = code.n, code.q
+    best = None
+    for a in representative_set(cyclotomic_cosets(n, q)).members:
+        d_a = frozenset(a * i % n for i in code.defining_set)
+        for b, length in cyclic_runs(d_a, n):
+            if best is not None and length < best:
+                continue
+            if coset_closure(range(b, b + length), n, q) == d_a:
+                best = length + 1
+    return best
+
+
+# every binary code of odd n <= 31 but n = 29, whose field GF(2^28) is past
+# the cap, and every ternary code of n <= 16
+CENSUS = ([(n, 2) for n in range(1, 32, 2) if n != 29]
+          + [(n, 3) for n in range(1, 17) if n % 3])
+
+
+@pytest.mark.parametrize("n,q", CENSUS)
+def test_bose_distance_matches_closure_oracle(n, q):
+    for code in _closed_set_codes(n, q):
+        assert bose_distance(code) == _bose_distance_by_closure(code)
 
 
 def _public_callables():

@@ -1,13 +1,15 @@
 import functools
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchbound.errors import CoefficientLeak, NotCosetClosed, RootMismatch
+from bchbound import spectral
+from bchbound.errors import CoefficientLeak, NotCosetClosed
 from bchbound.galois import FieldElement, build_field, nth_root, poly_str
-from bchbound.modring import coset_closure
+from bchbound.modring import coset_closure, cyclotomic_cosets, multiplicative_order
 from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
 from test_galois import ref_add, ref_inv, ref_mul, ref_power
@@ -169,6 +171,17 @@ def test_spectrum_str_spells_values_off_the_root_powers():
             assert entry == f"a^{t}"
 
 
+def _star(s, t):
+    """Coordinatewise product of two spectra over one root."""
+    mul = s.root.spec.mul
+    return Spectrum(s.n, s.root, tuple(map(mul, s.values, t.values)))
+
+
+def _is_idempotent(s):
+    mul = s.root.spec.mul
+    return all(mul(v, v) == v for v in s.values)
+
+
 def _random_word(spec, n, q, rng):
     return QuotientPoly.from_ints(spec, n, [rng.randrange(q) for _ in range(n)])
 
@@ -188,15 +201,8 @@ def test_dft_is_ring_morphism(root15):
         f = _random_word(root15.spec, 15, 2, rng)
         g = _random_word(root15.spec, 15, 2, rng)
         lhs = dft(f * g, root15)
-        rhs = dft(f, root15).star(dft(g, root15))
+        rhs = _star(dft(f, root15), dft(g, root15))
         assert lhs == rhs
-
-
-def test_star_rejects_mismatched_roots(root15, root21):
-    s = Spectrum(15, root15, (0,) * 15)
-    t = Spectrum(21, root21, (0,) * 21)
-    with pytest.raises(RootMismatch):
-        s.star(t)
 
 
 def test_dft_of_xn_coset_structure(root21):
@@ -237,7 +243,7 @@ def test_is_rational_matches_int_coeffs(root15, root11_3):
 def test_indicator_spectrum_is_idempotent(root21):
     d = coset_closure([1, 3, 7], 21, 2)
     s = indicator_spectrum(d, root21)
-    assert s.is_idempotent()
+    assert _is_idempotent(s)
     assert s.zero_set() == d
     assert s.support() == frozenset(range(21)) - d
     e = idft(s)
@@ -258,3 +264,99 @@ def test_idempotent_spectrum_n17(root17):
     e = idft(s)
     assert sorted(e.support()) == [0, 1, 2, 4, 8, 9, 13, 15, 16]
     assert dft(e, root17) == s
+
+
+# (n, q) for the coset path: short and long binary and ternary lengths;
+# (63, 2) and (56, 3) have cosets C with p dividing m/|C|, and (41, 3)
+# lives in GF(3^8), past the Zech-table cap
+COSET_SETUPS = [(15, 2), (21, 2), (255, 2), (13, 3), (121, 3), (63, 2),
+                (56, 3), (41, 3)]
+
+
+def _coset_root(n, q):
+    return _root(n, q, multiplicative_order(q, n))
+
+
+def _table_idft(values, root):
+    """Reference inverse: the table path, which serves every input."""
+    spec = root.spec
+    n_inv = spec.inv(root.n % spec.p)
+    return tuple(spec.mul(n_inv, c)
+                 for c in spectral._table_transform(values, root, -1))
+
+
+def _check_idempotent(d, root):
+    s = indicator_spectrum(d, root)
+    for sign in (1, -1):
+        assert (spectral._coset_transform(s.values, root, sign)
+                == spectral._table_transform(s.values, root, sign))
+    e = idft(s)
+    assert e.coeffs == _table_idft(s.values, root)
+    back = dft(e, root)
+    assert back == s and _is_idempotent(back)
+
+
+@pytest.mark.parametrize("n,q", COSET_SETUPS)
+def test_idempotents_by_cosets_match_the_table(n, q):
+    # the empty set, each dimension-1 code (all but a one-point coset) and
+    # every coset-closed D where there are few cosets, else a sample of them
+    root = _coset_root(n, q)
+    cosets = cyclotomic_cosets(n, q).cosets
+    everything = frozenset(range(n))
+    sets = [frozenset()] + [everything - set(c) for c in cosets if len(c) == 1]
+    if len(cosets) <= 6:
+        sets += [frozenset().union(*chosen) for r in range(1, len(cosets))
+                 for chosen in itertools.combinations(cosets, r)]
+    else:
+        rng = random.Random(308)
+        sets += [frozenset().union(*rng.sample(cosets, rng.randrange(1, 6)))
+                 for _ in range(8)]
+    for d in sets:
+        _check_idempotent(d, root)
+
+
+@pytest.mark.parametrize("n,q", COSET_SETUPS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_coset_constant_vectors_match_the_table(n, q, data):
+    root = _coset_root(n, q)
+    values = [0] * n
+    for coset in cyclotomic_cosets(n, q).cosets:
+        v = data.draw(st.integers(0, q - 1))
+        for i in coset:
+            values[i] = v
+    values = tuple(values)
+    for sign in (1, -1):
+        assert (spectral._coset_transform(values, root, sign)
+                == spectral._table_transform(values, root, sign))
+    word = QuotientPoly(root.spec, values)
+    assert dft(word, root).values == tuple(
+        spectral._table_transform(values, root, 1))
+    assert idft(Spectrum(n, root, values)).coeffs == _table_idft(values, root)
+
+
+def test_coset_constant_input_skips_the_table(root21, monkeypatch):
+    def table(*args):
+        raise AssertionError("coset-constant input reached the table path")
+
+    s = indicator_spectrum(coset_closure([1, 3, 7], 21, 2), root21)
+    monkeypatch.setattr(spectral, "_table_transform", table)
+    assert dft(idft(s), root21) == s
+
+
+@pytest.mark.parametrize("p,m,modulus", [
+    (2, 1, None), (3, 1, None), (5, 1, (2, 1)), (2, 4, None),
+    (2, 4, (1, 1, 1, 1, 1)),     # x-bar of order 5, not primitive
+    (2, 6, (1, 0, 1, 0, 1, 1, 1)), (3, 2, (1, 0, 1)), (3, 5, None),
+    (3, 8, None), (5, 2, None), (7, 2, None)])
+def test_trace_matches_the_sum_of_conjugates(p, m, modulus):
+    spec = build_field(p, m, modulus)
+    trace = spectral._trace(spec)
+    values = range(spec.order) if spec.order <= 256 else random.Random(
+        307).sample(range(spec.order), 256)
+    for v in values:
+        total, conj = 0, v
+        for _ in range(m):
+            total = spec.add(total, conj)
+            conj = spec.power(conj, p)
+        assert total < p and trace(v) == total

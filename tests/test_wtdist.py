@@ -16,7 +16,13 @@ from bchbound.modring import (
     multiplicative_order,
 )
 from bchbound.polyring import QuotientPoly
-from bchbound.wtdist import generator_rows, min_distance, witness_in_code
+from bchbound.wtdist import generator_rows, min_distance
+
+
+def witness_in_code(code, result):
+    """The witness is a codeword: its spectrum vanishes on D."""
+    return code.contains(QuotientPoly.from_ints(code.spec, code.n,
+                                                result.witness))
 
 
 def _code(n, q, reps, m):
