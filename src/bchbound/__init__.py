@@ -15,7 +15,6 @@ from .codes import (
     bch_code,
     bose_distance,
     code_from_defining_set,
-    idempotent_generator,
 )
 from .errors import BchboundError
 from .forge import (
@@ -42,7 +41,7 @@ __all__ = [
     "certify_equality", "code_apparent_distance", "code_from_defining_set",
     "congruence_construct", "construct_from_divisor", "coset_closure",
     "cyclotomic_cosets", "dft", "extend_to_bch", "factor_xn", "find_shift",
-    "idempotent_generator", "idft", "indicator_spectrum", "is_rational",
+    "idft", "indicator_spectrum", "is_rational",
     "min_distance", "minimal_polynomial", "nth_root", "primitive_family",
     "representative_set", "root_from_x",
 ]

@@ -39,9 +39,8 @@ def zero_runs(coeffs, length: int):
 
 @dataclass(frozen=True)
 class ApparentDistanceReport:
-    """Per-representative apparent distances and the overall BCH bound."""
+    """The BCH bound and the representatives a in A(n) that achieve it."""
 
-    per_representative: dict  # a -> (defining set a*D, d*, run starts)
     overall: int
     optimal_reps: tuple
 
@@ -53,19 +52,13 @@ def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
     """
     n = code.n
     reps = representative_set(cyclotomic_cosets(n, code.q)).members
-    per = {}
+    dstar = {}
     for a in reps:
-        d_a = frozenset(a * i % n for i in code.defining_set)
-        runs = cyclic_runs(d_a, n)
-        per[a] = (d_a, max((length for _, length in runs), default=0) + 1, runs)
-    overall = max(dstar for _, dstar, _ in per.values())
-    # keep the starts of the runs achieving the overall value; a
-    # representative below it has no run that long
-    for a, (d_a, dstar, runs) in per.items():
-        per[a] = (d_a, dstar,
-                  tuple(b for b, length in runs if length == overall - 1))
-    optimal = tuple(a for a, (_, dstar, _) in per.items() if dstar == overall)
-    return ApparentDistanceReport(per, overall, optimal)
+        runs = cyclic_runs({a * i % n for i in code.defining_set}, n)
+        dstar[a] = max((length for _, length in runs), default=0) + 1
+    overall = max(dstar.values())
+    optimal = tuple(a for a in reps if dstar[a] == overall)
+    return ApparentDistanceReport(overall, optimal)
 
 
 @dataclass(frozen=True)
@@ -96,9 +89,8 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     report = code_apparent_distance(code)
     n = code.n
     target_deg = n - report.overall
-    allowed = {a: frozenset(range(n)) - d_a
-               for a, (d_a, dstar, _) in report.per_representative.items()
-               if a in report.optimal_reps}
+    allowed = {a: frozenset(range(n)) - {a * i % n for i in code.defining_set}
+               for a in report.optimal_reps}
     for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
                                        budget=budget):
         cert = _check_divisor(code, g, allowed)

@@ -158,7 +158,7 @@ def _emit(args, payload, text_lines):
 
 
 def _code_record(code, field_info):
-    """The --json record of a code, plus its apparent-distance report."""
+    """The --json record of a code."""
     report = code_apparent_distance(code)
     rec = {
         "n": code.n,
@@ -172,7 +172,7 @@ def _code_record(code, field_info):
         "optimal_reps": sorted(report.optimal_reps),
         "bose_distance": bose_distance(code),
     }
-    return rec, report
+    return rec
 
 
 def _build_code(args):
@@ -219,13 +219,13 @@ def cmd_factor(args):
 
 def cmd_analyze(args):
     code, field_info = _build_code(args)
-    rec, report = _code_record(code, field_info)
+    rec = _code_record(code, field_info)
     lines = [
         f"[{code.n},{code.dimension}] code over GF({code.q})",
         f"defining set: {sorted(code.defining_set)}",
         f"generator:    {code.generator}",
-        f"BCH bound:    {report.overall} "
-        f"(optimal representatives {sorted(report.optimal_reps)})",
+        f"BCH bound:    {rec['bch_bound']} "
+        f"(optimal representatives {rec['optimal_reps']})",
         f"Bose distance: {rec['bose_distance']}",
     ]
     if args.certify:
@@ -248,8 +248,8 @@ def cmd_analyze(args):
 
 def cmd_mindist(args):
     code, field_info = _build_code(args)
-    rec, report = _code_record(code, field_info)
-    res = min_distance(code, cap=args.cap, stop_at=report.overall)
+    rec = _code_record(code, field_info)
+    res = min_distance(code, cap=args.cap)
     rec["min_distance"] = res.distance
     rec["exhaustive"] = res.exhaustive
     rec["lower_bound"] = res.lower_bound
@@ -259,14 +259,14 @@ def cmd_mindist(args):
         f"[{code.n},{code.dimension}] code over GF({code.q})",
         f"minimum distance: {res.distance} ({qualifier}) "
         f"after {res.enumerated} combinations",
-        f"BCH bound:        {report.overall}",
+        f"BCH bound:        {rec['bch_bound']}",
     ]
     _emit(args, rec, lines)
     return EXIT_OK
 
 
 def _record_payload(rec, field_info):
-    code_rec, _ = _code_record(rec.code, field_info)
+    code_rec = _code_record(rec.code, field_info)
     payload = {
         "source": rec.source,
         "divisor": rec.divisor.exponents(),

@@ -88,10 +88,6 @@ def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCo
     return CyclicCode(root, d, gen, e)
 
 
-def idempotent_generator(code: CyclicCode) -> QuotientPoly:
-    return code.idempotent
-
-
 def bch_code(root: RootOfUnity, delta: int, b: int) -> BchSpec:
     """B_q(alpha, delta, b): closure of the window {b, ..., b + delta - 2}."""
     n, q = root.n, root.spec.p

@@ -43,16 +43,15 @@ class ConstructionRecord:
         return self.code.dimension
 
     def verify(self, cap=DEFAULT_CAP) -> "ConstructionRecord":
-        """Re-check the claims: Delta from bounds, d by min_distance.
+        """Re-check the claims: Delta and d by min_distance.
 
         Raises when the search disproves d = Delta.  A search that runs out
         of cap before it finds a word of weight Delta proves nothing either
         way, and the record comes back with verified=False.
         """
-        report = code_apparent_distance(self.code)
-        if report.overall != self.bch_bound:
+        res = min_distance(self.code, cap=cap)
+        if res.bch_bound != self.bch_bound:
             raise AssertionError("claimed BCH bound does not recompute")
-        res = min_distance(self.code, cap=cap, stop_at=self.bch_bound)
         if res.distance < self.bch_bound or res.lower_bound > self.bch_bound:
             raise AssertionError("minimum distance does not meet the bound")
         return replace(self, verified=res.distance == self.bch_bound)

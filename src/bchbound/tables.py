@@ -1,9 +1,10 @@
 """Registry of the published reference tables and their recomputation.
 
-Every table row is rebuilt from scratch: cosets, code, BCH bound and a
-brute-force minimum distance. The golden CSV files shipped under
-``bchbound/golden/`` hold the expected values; ``recompute`` produces fresh
-rows in the same order so the two can be diffed field by field.
+Every table row is rebuilt from scratch: cosets, code, Bose distance and
+the exact minimum distance, whose search reports the BCH bound it starts
+from. The golden CSV files shipped under ``bchbound/golden/`` hold the
+expected values; ``recompute`` produces fresh rows in the same order so the
+two can be diffed field by field.
 
 Rows flagged ``dup`` repeat an earlier row of the source table and are
 deduplicated before recomputation. Rows flagged ``amended`` differ from the
@@ -19,7 +20,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .codes import bose_distance, code_from_defining_set
-from .bounds import code_apparent_distance
 from .errors import UnknownTable
 from .forge import construct_from_divisor, extend_to_bch, find_shift
 from .galois import build_field, nth_root, root_from_x
@@ -74,22 +74,12 @@ def _complement_reps(n, q, complement):
     return tuple(sorted(c[0] for c in part.cosets if c[0] in complement))
 
 
-def _measure(code, complement=None):
-    """(complement reps, dim, d, bch bound, bose) for a cyclic code.
-
-    The distance search stops once a word of weight <= the BCH bound shows up;
-    the bound is a proven lower bound, so the early exit is still exact.
-    """
-    delta = code_apparent_distance(code).overall
-    dist = min_distance(code, stop_at=delta).distance
-    comp = complement if complement is not None else code.complement()
-    return (_complement_reps(code.n, code.q, comp), code.dimension, dist,
-            delta, bose_distance(code))
-
-
-def _row_from_code(code, flag=""):
-    reps, dim, dist, delta, bose = _measure(code)
-    return ReportRow(code.n, code.q, reps, dim, dist, delta, bose, flag)
+def _row_from_code(code):
+    res = min_distance(code)
+    return ReportRow(code.n, code.q,
+                     _complement_reps(code.n, code.q, code.complement()),
+                     code.dimension, res.distance, res.bch_bound,
+                     bose_distance(code))
 
 
 def _coset_code(n, q, reps):

@@ -9,10 +9,11 @@ visited on one systematic matrix only: a codeword of weight at most w on
 some window has a rotation among the words visited, of the same weight.
 Once weight w is done, a codeword lighter than every word seen has weight
 at least w + 1 on each of the n windows, and each position lies in k of
-them, so its weight is at least ceil(n (w + 1) / k).  The search stops when
-that lower bound, or a proven one passed as stop_at, meets the lightest
-word seen.  For q > 2 the first nonzero message symbol is fixed to 1, since
-scalar multiples have the same weight.
+them, so its weight is at least ceil(n (w + 1) / k).  The search starts
+from the proven lower bound Delta(C), the maximum BCH bound, and stops
+when its lower bound meets the lightest word seen.  For q > 2 the first
+nonzero message symbol is fixed to 1, since scalar multiples have the
+same weight.
 
 Binary words are packed ints (XOR, then bit_count); odd q uses int lists.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
+from .bounds import code_apparent_distance
 from .codes import CyclicCode
 
 DEFAULT_CAP = 1 << 30
@@ -36,6 +38,7 @@ class DistanceResult:
     witness: tuple  # coefficient vector over GF(q), length n
     enumerated: int  # messages visited
     lower_bound: int
+    bch_bound: int  # the proven lower bound the search started from
 
     @property
     def exhaustive(self):
@@ -64,16 +67,20 @@ def generator_rows(code: CyclicCode):
     return rows
 
 
-def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP,
-                 stop_at: int = 0) -> DistanceResult:
+def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP) -> DistanceResult:
     """d(C) by visiting messages in order of weight until the bounds meet.
 
-    cap bounds the messages visited.  When it runs out first, distance is
-    the lightest weight seen and lower_bound what was proven so far
-    (exhaustive=False).  A nonzero stop_at is taken as a proven lower bound
-    such as the BCH bound: the search ends at the first word of weight <=
-    stop_at.
+    The search starts from the proven lower bound Delta(C), the maximum BCH
+    bound (bch_bound in the result), so it ends once it finds a word of
+    that weight.  cap bounds the messages visited.  When it runs out first,
+    distance is the lightest weight seen and lower_bound what was proven so
+    far (exhaustive=False).
     """
+    return _search(code, cap, code_apparent_distance(code).overall)
+
+
+def _search(code: CyclicCode, cap: int, proven: int) -> DistanceResult:
+    """The search from a proven lower bound on d; proven = 0 searches blind."""
     n, k, q = code.n, code.dimension, code.q
     if k < 1:
         raise ValueError("dimension must be >= 1")
@@ -90,7 +97,7 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP,
         add = lambda u, v: [(a + b) % q for a, b in zip(u, v)]
         weight = lambda u: n - u.count(0)
     best, word, visited = n + 1, None, 0
-    lower = max(stop_at, -(-n // k))  # a nonzero codeword meets every window
+    lower = max(proven, -(-n // k))  # a nonzero codeword meets every window
 
     def visit(acc, tail):
         """Weigh acc + v for each v in tail; False once the search is over."""
@@ -128,5 +135,5 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP,
         lower = best
     if q == 2:
         word = [(word >> i) & 1 for i in range(n)]
-    return DistanceResult(best, tuple(word), visited, lower)
+    return DistanceResult(best, tuple(word), visited, lower, proven)
 

@@ -20,7 +20,7 @@ from bchbound.galois import build_field, nth_root, root_from_x
 from bchbound.modring import coset_closure, cyclotomic_cosets
 from bchbound.polyring import Poly, QuotientPoly, divisor_enumerate, factor_xn
 from bchbound.spectral import Spectrum, dft, idft
-from bchbound.wtdist import min_distance
+from bchbound.wtdist import DEFAULT_CAP, _search, min_distance
 
 
 def _report(num, desc, ok):
@@ -42,7 +42,7 @@ def test_criterion_1_small_codes_table():
         comp = coset_closure(row.complement_reps, row.n, row.q)
         code = code_from_defining_set(row.n, row.q, root,
                                       frozenset(range(row.n)) - comp)
-        res = min_distance(code)   # no stop_at: d is proven by the search
+        res = _search(code, DEFAULT_CAP, 0)   # d proven without the bound
         if not res.exhaustive or (code.dimension, res.distance) != \
                 (row.dimension, row.min_distance):
             ok = False
@@ -87,7 +87,7 @@ def test_criterion_4_n45_chain():
         code = specs[key].code
         delta = code_apparent_distance(code).overall
         ext_ok = ext_ok and code.dimension == 29 and delta == 5
-        res = min_distance(code)   # no stop_at: d is proven by the search
+        res = _search(code, DEFAULT_CAP, 0)   # d proven without the bound
         ext_ok = ext_ok and res.exhaustive and res.distance == 5
     _report(4, "n=45 chain: dims 21/25/29 all with bound = d = 5 "
                "(k=29 distances proven without the bound)",
@@ -133,7 +133,7 @@ def test_criterion_8_primitive_family():
         records = primitive_family(m)
         ok = ok and len(records) == want
         for rec in records:
-            res = min_distance(rec.code)
+            res = _search(rec.code, DEFAULT_CAP, 0)
             ok = ok and res.exhaustive and res.distance == rec.bch_bound \
                 == code_apparent_distance(rec.code).overall
     _report(8, "primitive family sizes 2 (m=4) and 6 (m=5), each with "
@@ -200,7 +200,7 @@ def test_criterion_9_property_suites():
                 continue
             code = code_from_defining_set(n, q, root, d_set)
             delta = code_apparent_distance(code).overall
-            if min_distance(code, stop_at=delta).distance < delta:
+            if _search(code, DEFAULT_CAP, 0).distance < delta:
                 ok = False
 
     # divisor identity: d*(g) = n - deg g for every divisor of x^n - 1

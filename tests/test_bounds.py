@@ -11,9 +11,9 @@ from bchbound.bounds import (
 from bchbound.codes import code_from_defining_set
 from bchbound.errors import BudgetExceeded
 from bchbound.galois import build_field, nth_root
-from bchbound.modring import coset_closure, cyclotomic_cosets
+from bchbound.modring import coset_closure, cyclic_runs, cyclotomic_cosets
 from bchbound.spectral import dft, idft, is_rational
-from bchbound.wtdist import min_distance
+from bchbound.wtdist import DEFAULT_CAP, _search, min_distance
 
 
 def test_apparent_distance_vec_edges():
@@ -47,9 +47,10 @@ def test_code_apparent_distance_n21(root21):
     report = code_apparent_distance(code)
     assert report.overall == 5
     assert set(report.optimal_reps) == {1, 5}
-    a_to_set = {a: entry[0] for a, entry in report.per_representative.items()}
-    assert set(a_to_set) == {1, 5}
-    assert a_to_set[1] == code.defining_set
+    # through each optimal a, D has a run of Delta - 1 consecutive members
+    for a in report.optimal_reps:
+        runs = cyclic_runs({a * i % 21 for i in code.defining_set}, 21)
+        assert max(length for _, length in runs) == report.overall - 1
 
 
 def test_code_apparent_distance_n41():
@@ -72,7 +73,7 @@ def test_bound_below_distance_random():
                 continue
             code = code_from_defining_set(n, 2, root, d_set)
             delta = code_apparent_distance(code).overall
-            assert delta <= min_distance(code, stop_at=delta).distance
+            assert delta <= _search(code, DEFAULT_CAP, 0).distance
 
 
 def test_certify_equality_n21(root21):

@@ -8,12 +8,12 @@ import pkgutil
 import pytest
 
 import bchbound
+from bchbound.bounds import certify_equality, code_apparent_distance
 from bchbound.cli import _code_record, _poly_exponents
 from bchbound.codes import (
     bch_code,
     bose_distance,
     code_from_defining_set,
-    idempotent_generator,
 )
 from bchbound.errors import ImproperCode, NotCosetClosed, RootMismatch
 from bchbound.galois import build_field, nth_root
@@ -28,7 +28,7 @@ from bchbound.forge import ConstructionRecord, construct_from_divisor, primitive
 from bchbound.modring import RepresentativeSet
 from bchbound.polyring import FactorList, QuotientPoly, factor_xn
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum
-from bchbound.wtdist import DistanceResult, min_distance
+from bchbound.wtdist import DEFAULT_CAP, DistanceResult, _search, min_distance
 
 
 def _example_code(root21):
@@ -59,7 +59,7 @@ def test_generator_defines_the_code(root21):
 
 def test_idempotent_generator(root21):
     code = _example_code(root21)
-    e = idempotent_generator(code)
+    e = code.idempotent
     assert e * e == e
     assert code.contains(e)
     s = dft(e, root21)
@@ -114,7 +114,7 @@ def test_bose_distance_none_for_non_bch(root21):
 
 def test_json_record_round_trips(root21):
     code = _example_code(root21)
-    rec, _ = _code_record(code, {"field_poly": _poly_exponents(code.spec.modulus)})
+    rec = _code_record(code, {"field_poly": _poly_exponents(code.spec.modulus)})
     text = json.dumps(rec, indent=2, sort_keys=True)
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text
     assert rec["dimension"] == 10
@@ -182,6 +182,31 @@ def test_bose_distance_matches_closure_oracle(n, q):
         assert bose_distance(code) == _bose_distance_by_closure(code)
 
 
+@pytest.mark.parametrize("n,q", CENSUS)
+def test_census_bounds_certificates_and_distances(n, q):
+    for code in _closed_set_codes(n, q):
+        blind = _search(code, DEFAULT_CAP, 0)
+        res = min_distance(code)
+        assert blind.exhaustive and res.exhaustive
+        d, delta = blind.distance, code_apparent_distance(code).overall
+        assert res.distance == d and res.bch_bound == delta
+        bose = bose_distance(code)
+        assert bose is None or bose <= delta
+        assert delta <= d
+        cert = certify_equality(code)
+        if cert is None:
+            continue
+        assert d == delta
+        # the certificate's word lies in the code seen through its root
+        # change a; position i -> a*i mod n brings it back to C
+        word = idft(cert.codeword_spectrum())
+        assert word.weight() == delta
+        back = [0] * n
+        for i, c in enumerate(word.int_coeffs()):
+            back[cert.representative * i % n] = c
+        assert code.contains(QuotientPoly.from_ints(code.spec, n, back))
+
+
 def _public_callables():
     for info in pkgutil.iter_modules(bchbound.__path__):
         module = importlib.import_module(f"bchbound.{info.name}")
@@ -240,7 +265,7 @@ def test_derived_values_are_properties(root21):
     assert names(FactorList) == ["root", "subfield_degree", "factors"]
     assert names(RepresentativeSet) == ["n", "q", "members"]
     assert names(DistanceResult) == ["distance", "witness", "enumerated",
-                                     "lower_bound"]
+                                     "lower_bound", "bch_bound"]
     assert "dimension" not in names(ConstructionRecord)
     assert "source" not in inspect.signature(construct_from_divisor).parameters
     # and each reads what it used to hold
@@ -251,6 +276,6 @@ def test_derived_values_are_properties(root21):
     code = _example_code(root21)
     res = min_distance(code)
     assert res.exhaustive and res.lower_bound == res.distance
-    assert not min_distance(code, cap=1).exhaustive
+    assert not _search(code, 1, 0).exhaustive
     rec = primitive_family(4)[0]
     assert rec.dimension == rec.code.dimension == 8

@@ -130,7 +130,8 @@ def test_extend_to_bch_n33():
     assert (first.b, first.delta, first.code.dimension) == (31, 3, 23)
     rec = record_for_bch(first)
     assert rec.source == "extension"
-    assert min_distance(first.code, stop_at=3).distance == 3
+    res = min_distance(first.code)
+    assert res.exhaustive and res.distance == res.bch_bound == 3
 
 
 def test_extension_codes_are_bch(root15):

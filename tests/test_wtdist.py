@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchbound import wtdist
-from bchbound.codes import code_from_defining_set
+from bchbound.codes import bch_code, code_from_defining_set
 from bchbound.galois import build_field, nth_root
 from bchbound.modring import (
     coset_closure,
@@ -16,7 +16,7 @@ from bchbound.modring import (
     multiplicative_order,
 )
 from bchbound.polyring import QuotientPoly
-from bchbound.wtdist import generator_rows, min_distance
+from bchbound.wtdist import DEFAULT_CAP, _search, generator_rows, min_distance
 
 
 def witness_in_code(code, result):
@@ -130,16 +130,21 @@ def _random_codes(draw):
 @given(code=_random_codes(), data=st.data())
 def test_bz_matches_brute_force(code, data):
     d = _brute_force_distance(code)
-    res = min_distance(code)
-    assert res.exhaustive and res.distance == d
-    _check_result(code, res, d)
+    blind = _search(code, DEFAULT_CAP, 0)
+    assert blind.exhaustive and blind.distance == d
+    _check_result(code, blind, d)
     # a proven lower bound only ends the search sooner
-    stop_at = data.draw(st.integers(0, d), label="stop_at")
-    early = min_distance(code, stop_at=stop_at)
+    proven = data.draw(st.integers(0, d), label="proven")
+    early = _search(code, DEFAULT_CAP, proven)
     assert early.exhaustive and early.distance == d
-    assert early.enumerated <= res.enumerated
+    assert early.enumerated <= blind.enumerated
     _check_result(code, early, d)
+    res = min_distance(code)
+    assert res.exhaustive and res.distance == d and res.bch_bound <= d
+    assert res.enumerated <= blind.enumerated
+    _check_result(code, res, d)
     cap = data.draw(st.integers(1, 300), label="cap")
+    _check_result(code, _search(code, cap, 0), d, cap)
     _check_result(code, min_distance(code, cap=cap), d, cap)
 
 
@@ -175,7 +180,7 @@ def test_search_visits_each_light_message_once(n, q, complement_reps):
     # symbol is 1, and no heavier one
     code = _code_spanned_by(n, q, complement_reps)
     k = code.dimension
-    res = min_distance(code)
+    res = _search(code, DEFAULT_CAP, 0)
     assert res.exhaustive
     assert res.enumerated == sum(math.comb(k, j) * (q - 1) ** (j - 1)
                                  for j in (1, 2, 3))
@@ -230,13 +235,22 @@ def test_generator_rows_shape():
             assert code.contains(QuotientPoly.from_ints(code.spec, n, row))
 
 
-def test_stop_at_early_exit_is_consistent():
+def test_bch_bound_early_exit_is_consistent():
     code = _code(15, 2, [0, 5, 7], 4)   # dim 7 code with d = 5
-    full = min_distance(code)
-    early = min_distance(code, stop_at=full.distance)
-    assert early.distance == full.distance
+    full = _search(code, DEFAULT_CAP, 0)
+    early = min_distance(code)
+    assert early.bch_bound == early.distance == full.distance
     assert early.enumerated <= full.enumerated
     assert early.exhaustive
+
+
+def test_library_search_starts_from_the_bch_bound():
+    # the narrow-sense [127, 106] BCH code with designed distance 7: the
+    # blind search needs about 10^8 messages, from Delta = 7 about 10^2
+    code = bch_code(nth_root(build_field(2, 7), 127), 7, 1).code
+    res = min_distance(code, cap=10_000)
+    assert res.exhaustive and res.distance == res.bch_bound == 7
+    assert witness_in_code(code, res)
 
 
 def test_cap_limits_enumeration():
