@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .codes import CyclicCode
 from .galois import RootOfUnity
-from .modring import cyclic_runs, cyclotomic_cosets, representative_set
+from .modring import cyclic_runs
 from .polyring import Poly, QuotientPoly, cyclic_shift, divisor_enumerate, factor_xn
 from .spectral import Spectrum, is_rational
 
@@ -50,14 +50,9 @@ def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
 
     Seen through a, the idempotent's spectrum is zero exactly on a*D.
     """
-    n = code.n
-    reps = representative_set(cyclotomic_cosets(n, code.q)).members
-    dstar = {}
-    for a in reps:
-        runs = cyclic_runs({a * i % n for i in code.defining_set}, n)
-        dstar[a] = max((length for _, length in runs), default=0) + 1
+    dstar = code._dstar
     overall = max(dstar.values())
-    optimal = tuple(a for a in reps if dstar[a] == overall)
+    optimal = tuple(a for a, d in dstar.items() if d == overall)
     return ApparentDistanceReport(overall, optimal)
 
 
@@ -83,8 +78,9 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     Divisors g | x^n - 1 over GF(q) of degree n - Delta are scanned; for
     each, every shift k and every optimal representative a is checked for
     support containment in Z_n \\ a*D and base-field rationality of the
-    shifted spectrum.  Raises BudgetExceeded when the scan is truncated
-    rather than finished.
+    shifted spectrum.  budget bounds the subsets of the factor list of
+    x^n - 1 that the scan visits; BudgetExceeded is raised when it runs out
+    before the scan is finished.
     """
     report = code_apparent_distance(code)
     n = code.n

@@ -1,15 +1,18 @@
 """Cyclic-code model: defining sets, generators, idempotents, BCH windows.
 
-A CyclicCode is immutable and caches its generator polynomial, idempotent
-generator and dimension eagerly, so instances can be shared freely.
+A CyclicCode is immutable, so instances can be shared freely.  Its generator
+(the product over GF(p) of its cosets' minimal polynomials) and idempotent
+are built with it; the runs of each a*D, read by the BCH bound and the Bose
+distance, are scanned once, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
-from .galois import RootOfUnity
+from .galois import FieldSpec, RootOfUnity, _polmul
 from .modring import (coset_closure, cyclic_runs, cyclotomic_cosets,
                       is_coset_closed, representative_set)
 from .polyring import Poly, QuotientPoly, minimal_polynomial
@@ -43,6 +46,21 @@ class CyclicCode:
 
     def complement(self):
         return frozenset(range(self.n)) - self.defining_set
+
+    @functools.cached_property
+    def _runs(self) -> dict:
+        """{a: cyclic_runs(a*D)} for each a in A(n): the root change alpha ->
+        beta with beta^a = alpha maps D to a*D."""
+        n = self.n
+        reps = representative_set(cyclotomic_cosets(n, self.q)).members
+        return {a: cyclic_runs({a * i % n for i in self.defining_set}, n)
+                for a in reps}
+
+    @functools.cached_property
+    def _dstar(self) -> dict:
+        """{a: longest run of a*D plus one}; the BCH bound is the largest."""
+        return {a: max((length for _, length in runs), default=0) + 1
+                for a, runs in self._runs.items()}
 
     def contains(self, c: QuotientPoly) -> bool:
         """Membership via zeros: c(alpha^i) = 0 for every i in the set."""
@@ -78,14 +96,24 @@ def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCo
         raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
     if len(d) == n:
         raise ImproperCode("defining set is all of Z_n")
-    spec = root.spec
-    gen = Poly.one(spec)
-    for coset in cyclotomic_cosets(n, q).cosets:
-        if coset[0] in d:
-            gen = gen * minimal_polynomial(root, coset[0])
+    gen = _prime_product(root.spec, [minimal_polynomial(root, coset[0])
+                                     for coset in cyclotomic_cosets(n, q).cosets
+                                     if coset[0] in d])
     e = idft(indicator_spectrum(d, root))
     e.int_coeffs()  # the idempotent must land in the base field
     return CyclicCode(root, d, gen, e)
+
+
+def _prime_product(spec: FieldSpec, factors) -> Poly:
+    """The product of polynomials over GF(p), in integer arithmetic rather
+    than FieldSpec.mul: carry-less on bitmasks for p = 2."""
+    if spec.p == 2:
+        acc = 1
+        for f in factors:
+            acc = functools.reduce(int.__xor__, (acc << i for i in f.support()))
+        return Poly(spec, map(int, bin(acc)[:1:-1]))
+    return Poly(spec, functools.reduce(
+        lambda acc, f: _polmul(acc, f.coeffs, spec.p), factors, [1]))
 
 
 def bch_code(root: RootOfUnity, delta: int, b: int) -> BchSpec:
@@ -109,17 +137,15 @@ def bose_distance(code: CyclicCode):
     the cosets its members lie in, so it is a*D exactly when the run meets
     as many cosets as D has (multiplying by a maps cosets onto cosets).
     """
-    n, q = code.n, code.q
-    partition = cyclotomic_cosets(n, q)
+    n = code.n
     label = [0] * n
-    for index, coset in enumerate(partition.cosets):
+    for index, coset in enumerate(cyclotomic_cosets(n, code.q).cosets):
         for i in coset:
             label[i] = index
     wanted = len({label[i] for i in code.defining_set})
     best = None
-    for a in representative_set(partition).members:
-        d_a = frozenset(a * i % n for i in code.defining_set)
-        for b, length in cyclic_runs(d_a, n):
+    for runs in code._runs.values():
+        for b, length in runs:
             if best is not None and length < best:
                 continue  # cannot beat the best window found so far
             if len({label[(b + j) % n] for j in range(length)}) == wanted:

@@ -14,7 +14,8 @@ bitmask).  Arithmetic depends only on the field:
 A tabled field holds about 4 p^m list entries; every larger field stays
 table-free, so memory stays bounded up to MAX_FIELD_ORDER.  Each RootOfUnity
 keeps an O(n) table of its own powers and the inverse map (discrete log on
-the subgroup it generates).
+the subgroup it generates); nth_root and root_from_x make one root per
+(FieldSpec, n), so the tables are built once per process.
 """
 
 from __future__ import annotations
@@ -515,8 +516,9 @@ def build_field(p: int, m: int, modulus=None) -> FieldSpec:
     return _cached_spec(p, m, modulus)
 
 
+@functools.lru_cache(maxsize=None)
 def nth_root(spec: FieldSpec, n: int) -> RootOfUnity:
-    """A primitive n-th root of unity, derived from a primitive field element."""
+    """A primitive n-th root of unity from a primitive element; one per (spec, n)."""
     if n < 1 or (spec.order - 1) % n != 0:
         raise OrderUnavailable(f"{n} does not divide {spec.order - 1}")
     g = spec.generator_value()
@@ -526,11 +528,13 @@ def nth_root(spec: FieldSpec, n: int) -> RootOfUnity:
     return root
 
 
+@functools.lru_cache(maxsize=None)
 def root_from_x(spec: FieldSpec, n: int) -> RootOfUnity:
     """Take the residue of x as a primitive n-th root of unity.
 
     This is how a root with a prescribed minimal polynomial is fixed: build
-    the field with that polynomial as modulus, then x-bar is the root.
+    the field with that polynomial as modulus, then x-bar is the root.  One
+    root per (spec, n), like nth_root.
     """
     root = RootOfUnity(FieldElement(spec, spec.x()), n)
     _check_order(root)

@@ -5,6 +5,7 @@ All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,8 +70,9 @@ def _orbit(a: int, n: int, q: int) -> tuple:
     return tuple(sorted(out))
 
 
+@functools.lru_cache(maxsize=None)
 def cyclotomic_cosets(n: int, q: int) -> CosetPartition:
-    """Full partition of Z_n into q-cyclotomic cosets."""
+    """Full partition of Z_n into q-cyclotomic cosets; built once per (n, q)."""
     _check(n, q)
     seen = set()
     cosets = []

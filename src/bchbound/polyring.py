@@ -7,7 +7,9 @@ subfield test rather than by carrying separate coefficient types.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -251,10 +253,12 @@ def _coset_product(root: RootOfUnity, coset, d: int) -> Poly:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def minimal_polynomial(root: RootOfUnity, s: int) -> Poly:
     """min_q(alpha^s) = prod over the q-coset of s of (x - alpha^j), q = p.
 
-    Computed in L; every coefficient is verified to lie in GF(q).
+    Computed in L, once per (root, s); every coefficient is verified to lie
+    in GF(q).
     """
     return _coset_product(root, cyclotomic_coset(s, root.n, root.spec.p), 1)
 
@@ -300,26 +304,32 @@ def divisor_enumerate(factors: FactorList, target_degree: int | None = None,
     """All monic divisors of x^n - 1 as subset products of the factor list.
 
     Deterministic order: subsets by ascending size, then lexicographic factor
-    indices.  Divisors of degree n (x^n - 1 itself) are never emitted.  When
-    a budget is given, raises BudgetExceeded after that many emissions.
+    indices.  Divisors of degree n (x^n - 1) and, given a target degree,
+    divisors of any other degree are skipped.  A budget bounds the subsets
+    visited, emitted or not, counted per subset size: BudgetExceeded is
+    raised once that many are visited and more remain.
     """
     n = factors.root.n
     degs = [f.degree for f, _ in factors.factors]
-    count = 0
+    left = math.inf if budget is None else budget
     for r in range(len(degs) + 1):
-        for idxs in itertools.combinations(range(len(degs)), r):
+        subsets = itertools.combinations(range(len(degs)), r)
+        size = math.comb(len(degs), r)
+        if size > left:
+            subsets = itertools.islice(subsets, left)
+        for idxs in subsets:
             d = sum(degs[i] for i in idxs)
             if d >= n:
                 continue
             if target_degree is not None and d != target_degree:
                 continue
-            if budget is not None and count >= budget:
-                raise BudgetExceeded(f"divisor budget {budget} exhausted "
-                                     f"after {count} candidates")
-            count += 1
             prod = Poly.one(factors.root.spec)
             roots = set()
             for i in idxs:
                 prod = prod * factors.factors[i][0]
                 roots.update(factors.factors[i][1])
             yield prod, frozenset(roots)
+        if size > left:
+            raise BudgetExceeded(f"divisor budget {budget} exhausted "
+                                 f"after {budget} candidates")
+        left -= size

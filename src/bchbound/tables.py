@@ -1,10 +1,11 @@
 """Registry of the published reference tables and their recomputation.
 
-Every table row is rebuilt from scratch: cosets, code, Bose distance and
-the exact minimum distance, whose search reports the BCH bound it starts
-from. The golden CSV files shipped under ``bchbound/golden/`` hold the
-expected values; ``recompute`` produces fresh rows in the same order so the
-two can be diffed field by field.
+Every table row is rebuilt: its code, Bose distance and exact minimum
+distance, whose search reports the BCH bound it starts from. Rows of one
+length share their root, cosets and minimal polynomials. The golden CSV
+files shipped under ``bchbound/golden/`` hold the expected values;
+``recompute`` produces fresh rows in the same order so the two can be
+diffed field by field.
 
 Rows flagged ``dup`` repeat an earlier row of the source table and are
 deduplicated before recomputation. Rows flagged ``amended`` differ from the
@@ -89,7 +90,7 @@ def _coset_code(n, q, reps):
 
 
 def _recompute_coset_rows(golden):
-    """Rebuild each distinct row, root included, from (n, q, complement reps)."""
+    """Rebuild each distinct row from (n, q, complement reps), on shared roots."""
     cache = {}
     for row in golden:
         if row.key() not in cache:

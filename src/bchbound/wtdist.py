@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .bounds import code_apparent_distance
 from .codes import CyclicCode
 
 DEFAULT_CAP = 1 << 30
@@ -76,7 +75,7 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP) -> DistanceResult:
     distance is the lightest weight seen and lower_bound what was proven so
     far (exhaustive=False).
     """
-    return _search(code, cap, code_apparent_distance(code).overall)
+    return _search(code, cap, max(code._dstar.values()))
 
 
 def _search(code: CyclicCode, cap: int, proven: int) -> DistanceResult:

@@ -116,6 +116,16 @@ def test_certify_equality_budget():
         certify_equality(code, budget=0)
 
 
+def test_certify_budget_bounds_a_walk_that_finds_nothing():
+    # the code of C(1) + C(3) + C(9) mod 63 has no certificate; its walk
+    # emits 2 divisors of degree 63 - 5 among all 2^13 subsets it visits
+    root = nth_root(build_field(2, 6), 63)
+    code = code_from_defining_set(63, 2, root, coset_closure([1, 3, 9], 63, 2))
+    assert certify_equality(code, budget=2 ** 13) is None
+    with pytest.raises(BudgetExceeded):
+        certify_equality(code, budget=100)
+
+
 def test_certificate_implies_equality_n15(root15):
     # scan several codes: whenever a certificate exists, d really meets
     # the bound; whenever the search is exhaustive and empty, it must not

@@ -131,6 +131,36 @@ def test_mindist(capsys):
     assert payload["lower_bound"] == 5
 
 
+def test_mindist_computes_the_bch_bound_once(capsys, monkeypatch):
+    from bchbound import bounds, codes, modring
+
+    calls = {"bound": 0, "runs": 0}
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    original = bounds.code_apparent_distance
+    bound = counting("bound", original)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("bchbound")
+                and getattr(module, "code_apparent_distance", None) is original):
+            monkeypatch.setattr(module, "code_apparent_distance", bound)
+    monkeypatch.setattr(codes, "cyclic_runs",
+                        counting("runs", modring.cyclic_runs))
+    code, out, _ = run_cli(capsys, "mindist", "--n", "127", "--q", "2",
+                           "--defining-set", "coset:1,3,5", "--json")
+    payload = json.loads(out)
+    assert (code, payload["bch_bound"], payload["min_distance"]) == (0, 7, 7)
+    assert calls["bound"] == 1
+    # one scan of a*D for each a in A(127), shared by the bound, the Bose
+    # distance and the search's starting bound
+    a_set = modring.representative_set(modring.cyclotomic_cosets(127, 2))
+    assert calls["runs"] == len(a_set.members) == 18
+
+
 def test_mindist_cap_reports_both_bounds(capsys):
     argv = ["mindist", "--n", "41", "--q", "2", "--defining-set", "coset:1"]
     code, out, _ = run_cli(capsys, *argv, "--cap", "100", "--json")

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import pkgutil
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from bchbound.modring import (
 )
 from bchbound.forge import ConstructionRecord, construct_from_divisor, primitive_family
 from bchbound.modring import RepresentativeSet
-from bchbound.polyring import FactorList, QuotientPoly, factor_xn
+from bchbound.polyring import FactorList, Poly, QuotientPoly, factor_xn
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum
 from bchbound.wtdist import DEFAULT_CAP, DistanceResult, _search, min_distance
 
@@ -205,6 +206,69 @@ def test_census_bounds_certificates_and_distances(n, q):
         for i, c in enumerate(word.int_coeffs()):
             back[cert.representative * i % n] = c
         assert code.contains(QuotientPoly.from_ints(code.spec, n, back))
+
+
+def _apparent_distance_reference(code):
+    """Reference: Delta(C) and the optimal a, scanning each a*D afresh."""
+    n = code.n
+    reps = representative_set(cyclotomic_cosets(n, code.q)).members
+    dstar = {}
+    for a in reps:
+        runs = cyclic_runs({a * i % n for i in code.defining_set}, n)
+        dstar[a] = max((length for _, length in runs), default=0) + 1
+    overall = max(dstar.values())
+    return overall, tuple(a for a in reps if dstar[a] == overall)
+
+
+def _bose_distance_reference(code):
+    """Reference: bose_distance counting coset labels, scanning each a*D."""
+    n, q = code.n, code.q
+    partition = cyclotomic_cosets(n, q)
+    label = [0] * n
+    for index, coset in enumerate(partition.cosets):
+        for i in coset:
+            label[i] = index
+    wanted = len({label[i] for i in code.defining_set})
+    best = None
+    for a in representative_set(partition).members:
+        d_a = frozenset(a * i % n for i in code.defining_set)
+        for b, length in cyclic_runs(d_a, n):
+            if best is not None and length < best:
+                continue
+            if len({label[(b + j) % n] for j in range(length)}) == wanted:
+                best = length + 1
+    return best
+
+
+def _generator_in_l(code):
+    """Reference: prod over j in D of (x - alpha^j), multiplied in L."""
+    spec, out = code.spec, Poly.one(code.spec)
+    for j in sorted(code.defining_set):
+        out = out * Poly(spec, [spec.neg(code.root.pow(j)), 1])
+    return out
+
+
+@pytest.mark.parametrize("n,q", CENSUS)
+def test_shared_parts_match_references(n, q):
+    for code in _closed_set_codes(n, q):
+        assert code.generator == _generator_in_l(code)
+        report = code_apparent_distance(code)
+        assert (report.overall, report.optimal_reps) == (
+            _apparent_distance_reference(code))
+        assert bose_distance(code) == _bose_distance_reference(code)
+
+
+@pytest.mark.parametrize("n,q", [(255, 2), (341, 2), (511, 2), (1023, 2),
+                                 (121, 3), (242, 3)])
+def test_generator_over_gf_p_matches_product_in_l(n, q):
+    rng = random.Random(f"generator:{n}:{q}")
+    root = nth_root(build_field(q, multiplicative_order(q, n)), n)
+    reps = cyclotomic_cosets(n, q).representatives
+    for size in (1, 3, 5):
+        d = coset_closure(rng.sample(reps, size), n, q)
+        code = code_from_defining_set(n, q, root, d)
+        assert code.generator == _generator_in_l(code)
+        assert code.generator.degree == len(d)
 
 
 def _public_callables():

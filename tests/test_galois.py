@@ -265,6 +265,14 @@ def test_nth_root_order_is_exact():
                 assert spec.power(z, d) != 1
 
 
+def test_roots_are_built_once_per_field_and_order():
+    spec = build_field(2, 6)
+    assert nth_root(spec, 21) is nth_root(build_field(2, 6), 21)
+    assert nth_root(spec, 21) is not nth_root(spec, 63)
+    fixed = build_field(2, 4, (1, 1, 0, 0, 1))
+    assert root_from_x(fixed, 15) is root_from_x(fixed, 15)
+
+
 def test_nth_root_requires_divisor_of_group_order():
     spec = build_field(2, 4)
     with pytest.raises(OrderUnavailable):

@@ -165,6 +165,20 @@ def test_divisor_enumerate_counts(root15):
         list(divisor_enumerate(factors, budget=3))
 
 
+def test_divisor_budget_counts_subsets_visited():
+    # x^63 - 1 has 13 factors over GF(2), so the walk visits 2^13 subsets
+    root = nth_root(build_field(2, 6), 63)
+    factors = factor_xn(63, root)
+    assert len(factors.factors) == 13
+    assert len(list(divisor_enumerate(factors, budget=2 ** 13))) == 2 ** 13 - 1
+    with pytest.raises(BudgetExceeded, match="after 8191 candidates"):
+        list(divisor_enumerate(factors, budget=2 ** 13 - 1))
+    # a walk that emits nothing is bounded too: the one divisor of degree
+    # 62, (x^63 - 1)/(x + 1), lies far past the first 100 subsets
+    with pytest.raises(BudgetExceeded, match="budget 100 exhausted"):
+        list(divisor_enumerate(factors, target_degree=62, budget=100))
+
+
 def test_quotient_poly_and_shift():
     spec = build_field(2, 4, (1, 1, 0, 0, 1))
     f = QuotientPoly.from_ints(spec, 7, [1, 0, 1])

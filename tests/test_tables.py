@@ -1,11 +1,16 @@
+import collections
+import functools
 import importlib.util
 import io
 import pathlib
 
 import pytest
 
-from bchbound import tables
+from bchbound import galois, tables
+from bchbound.codes import code_from_defining_set
 from bchbound.errors import UnknownTable
+from bchbound.galois import build_field, nth_root, root_from_x
+from bchbound.modring import coset_closure
 
 
 def test_golden_row_counts():
@@ -70,3 +75,39 @@ def test_golden_files_regenerate_byte_for_byte():
         shipped = (regen.GOLDEN / f"{name}.csv").read_text()
         assert regen.render(header, rows, comments) == shipped, name
     assert len(names) == len(tables.TABLE_IDS) == 8
+
+
+def test_recompute_builds_each_roots_powers_once(monkeypatch):
+    galois.nth_root.cache_clear()
+    galois.root_from_x.cache_clear()
+    built = collections.Counter()
+    original = galois.RootOfUnity.powers.func
+
+    def counted(root):
+        built[root] += 1
+        return original(root)
+
+    powers = functools.cached_property(counted)
+    powers.__set_name__(galois.RootOfUnity, "powers")
+    monkeypatch.setattr(galois.RootOfUnity, "powers", powers)
+    rows = tables.recompute("small-codes")
+    assert len({(row.n, row.q) for row in rows}) > 1
+    assert built and set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("n,m", [(21, 6), (33, 10)])
+def test_roots_under_other_moduli_stay_distinct(n, m):
+    # the reference modulus and the default one give GF(2^m) two bases, and
+    # the two roots two different minimal polynomials
+    fixed_spec = build_field(2, m, tables._MIN_POLY[n])
+    default_spec = build_field(2, m)
+    assert fixed_spec != default_spec
+    default = nth_root(default_spec, n)
+    fixed = root_from_x(fixed_spec, n)
+    assert fixed != default
+    assert nth_root(fixed_spec, n).spec == fixed_spec
+    assert tables._root_for(n, 2) == fixed
+    d = coset_closure([1], n, 2)
+    generators = {code_from_defining_set(n, 2, root, d).generator.coeffs
+                  for root in (fixed, default)}
+    assert len(generators) == 2
