@@ -48,11 +48,13 @@ class ApparentDistanceReport:
 def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
     """The BCH bound Delta(C) = d*(C), maximized over A(n) root changes.
 
-    Seen through a, the idempotent's spectrum is zero exactly on a*D.
+    Seen through a, the idempotent's spectrum is zero exactly on a*D; a is
+    optimal when the longest run of a*D has Delta - 1 members.
     """
-    dstar = code._dstar
-    overall = max(dstar.values())
-    optimal = tuple(a for a, d in dstar.items() if d == overall)
+    overall = code.bch_bound
+    optimal = tuple(
+        a for a, runs in code.runs.items()
+        if max((length for _, length in runs), default=0) + 1 == overall)
     return ApparentDistanceReport(overall, optimal)
 
 

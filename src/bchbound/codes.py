@@ -2,8 +2,8 @@
 
 A CyclicCode is immutable, so instances can be shared freely.  Its generator
 (the product over GF(p) of its cosets' minimal polynomials) and idempotent
-are built with it; the runs of each a*D, read by the BCH bound and the Bose
-distance, are scanned once, on first use.
+are built with it; the runs of each a*D, which give the BCH bound and the
+Bose distance, are scanned once, on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
-from .galois import FieldSpec, RootOfUnity, _polmul
+from .galois import RootOfUnity, _polmul
 from .modring import (coset_closure, cyclic_runs, cyclotomic_cosets,
                       is_coset_closed, representative_set)
 from .polyring import Poly, QuotientPoly, minimal_polynomial
@@ -48,19 +48,19 @@ class CyclicCode:
         return frozenset(range(self.n)) - self.defining_set
 
     @functools.cached_property
-    def _runs(self) -> dict:
-        """{a: cyclic_runs(a*D)} for each a in A(n): the root change alpha ->
-        beta with beta^a = alpha maps D to a*D."""
+    def runs(self) -> dict:
+        """{a: cyclic_runs(a*D)} for each a in A(n), scanned once: the root
+        change alpha -> beta with beta^a = alpha maps D to a*D."""
         n = self.n
         reps = representative_set(cyclotomic_cosets(n, self.q)).members
         return {a: cyclic_runs({a * i % n for i in self.defining_set}, n)
                 for a in reps}
 
     @functools.cached_property
-    def _dstar(self) -> dict:
-        """{a: longest run of a*D plus one}; the BCH bound is the largest."""
-        return {a: max((length for _, length in runs), default=0) + 1
-                for a, runs in self._runs.items()}
+    def bch_bound(self) -> int:
+        """Delta(C): one more than the longest run of any a*D."""
+        return 1 + max((length for runs in self.runs.values()
+                        for _, length in runs), default=0)
 
     def contains(self, c: QuotientPoly) -> bool:
         """Membership via zeros: c(alpha^i) = 0 for every i in the set."""
@@ -96,24 +96,14 @@ def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCo
         raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
     if len(d) == n:
         raise ImproperCode("defining set is all of Z_n")
-    gen = _prime_product(root.spec, [minimal_polynomial(root, coset[0])
-                                     for coset in cyclotomic_cosets(n, q).cosets
-                                     if coset[0] in d])
+    coeffs = [1]  # minimal polynomials lie in GF(p)[x]: multiply as integers
+    for coset in cyclotomic_cosets(n, q).cosets:
+        if coset[0] in d:
+            factor = minimal_polynomial(root, coset[0])
+            coeffs = _polmul(coeffs, factor.coeffs, q)
     e = idft(indicator_spectrum(d, root))
     e.int_coeffs()  # the idempotent must land in the base field
-    return CyclicCode(root, d, gen, e)
-
-
-def _prime_product(spec: FieldSpec, factors) -> Poly:
-    """The product of polynomials over GF(p), in integer arithmetic rather
-    than FieldSpec.mul: carry-less on bitmasks for p = 2."""
-    if spec.p == 2:
-        acc = 1
-        for f in factors:
-            acc = functools.reduce(int.__xor__, (acc << i for i in f.support()))
-        return Poly(spec, map(int, bin(acc)[:1:-1]))
-    return Poly(spec, functools.reduce(
-        lambda acc, f: _polmul(acc, f.coeffs, spec.p), factors, [1]))
+    return CyclicCode(root, d, Poly(root.spec, coeffs), e)
 
 
 def bch_code(root: RootOfUnity, delta: int, b: int) -> BchSpec:
@@ -144,7 +134,7 @@ def bose_distance(code: CyclicCode):
             label[i] = index
     wanted = len({label[i] for i in code.defining_set})
     best = None
-    for runs in code._runs.values():
+    for runs in code.runs.values():
         for b, length in runs:
             if best is not None and length < best:
                 continue  # cannot beat the best window found so far

@@ -75,7 +75,7 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP) -> DistanceResult:
     distance is the lightest weight seen and lower_bound what was proven so
     far (exhaustive=False).
     """
-    return _search(code, cap, max(code._dstar.values()))
+    return _search(code, cap, code.bch_bound)
 
 
 def _search(code: CyclicCode, cap: int, proven: int) -> DistanceResult:
