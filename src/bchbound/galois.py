@@ -49,7 +49,7 @@ def exceeds_field_cap(p: int, m: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# GF(p)[x] helpers on little-endian int lists (used for modulus validation).
+# GF(p)[x] helpers on little-endian int lists, and on bitmasks for p = 2.
 # ---------------------------------------------------------------------------
 
 def _trim(a):
@@ -101,6 +101,40 @@ def _polpowmod(base, e, f, p):
         base = _polmod(_polmul(base, base, p), f, p)
         e >>= 1
     return result
+
+
+def _clmulmod(a, b, mod, m):
+    """a * b over GF(2) on bitmasks, reduced by the degree-m bitmask mod."""
+    if a > b:  # loop over the shorter factor
+        a, b = b, a
+    r = 0
+    while a:
+        if a & 1:
+            r ^= b
+        a >>= 1
+        b <<= 1
+    bl = r.bit_length()
+    while bl > m:
+        r ^= mod << (bl - 1 - m)
+        bl = r.bit_length()
+    return r
+
+
+def _x_has_order(p, f, n, primes) -> bool:
+    """True iff x has order n modulo the monic f over GF(p), given the
+    primes dividing n; f is a coefficient list, or a bitmask for p = 2."""
+    if p == 2:
+        m = f.bit_length() - 1
+
+        def is_one(e):  # x^e left to right: x^(2k + b) = (x^k)^2 x^b
+            r = 1
+            for bit in bin(e)[2:]:
+                r = _clmulmod(r, r << int(bit), f, m)
+            return r == 1
+    else:
+        def is_one(e):
+            return _polpowmod([0, 1], e, f, p) == [1]
+    return is_one(n) and not any(is_one(n // r) for r in primes)
 
 
 def _prime_factors(n):
@@ -159,16 +193,14 @@ class FieldSpec:
     * _log[v] = the i < p^m - 1 with g^i = v, for v != 0 (_log[0] is None);
     * _zech[i] = log(1 + g^i), None where 1 + g^i = 0 (i = (p^m - 1)/2).
 
-    Every other field has no lists (_log is None) and computes directly,
-    as does a spec made with tables=False: default_modulus makes those for
-    candidates it only reads x_is_primitive of.
+    Every other field has no lists (_log is None) and computes directly.
     """
 
     __slots__ = ("p", "m", "modulus", "order", "_mod_mask", "_group_factors",
                  "_generator_val", "x_is_primitive", "_inv_cache",
                  "_exp", "_log", "_zech")
 
-    def __init__(self, p: int, m: int, modulus, *, tables: bool = True):
+    def __init__(self, p: int, m: int, modulus):
         if exceeds_field_cap(p, m):
             raise RejectedModulus(
                 f"GF({p}^{m}) exceeds the field-order cap {MAX_FIELD_ORDER}")
@@ -192,8 +224,9 @@ class FieldSpec:
         self._generator_val = None
         self._inv_cache = {}
         self._exp = self._log = self._zech = None
-        self.x_is_primitive = self.order == 2 or self._has_full_order(self.x())
-        if tables and p != 2 and self.order <= TABLE_MAX_ORDER:
+        self.x_is_primitive = _x_has_order(
+            p, self._mod_mask or modulus, self.order - 1, self._group_factors)
+        if p != 2 and self.order <= TABLE_MAX_ORDER:
             self._build_tables()
 
     def _build_tables(self):
@@ -284,18 +317,7 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
-            r = 0
-            while a:
-                if a & 1:
-                    r ^= b
-                a >>= 1
-                b <<= 1
-            mod, m = self._mod_mask, self.m
-            bl = r.bit_length()
-            while bl > m:
-                r ^= mod << (bl - 1 - m)
-                bl = r.bit_length()
-            return r
+            return _clmulmod(a, b, self._mod_mask, self.m)
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]] if a and b else 0
@@ -471,26 +493,33 @@ class RootOfUnity:
 def default_modulus(p: int, m: int):
     """The lexicographically-smallest primitive polynomial for GF(p^m).
 
-    Deterministic replacement for a hardcoded table; cached per (p, m).
+    A monic f with f(0) != 0 is primitive exactly when x has order
+    N = p^m - 1 modulo f (Lidl and Niederreiter, Finite Fields, Thm 3.16):
+    a reducible f has fewer than N units, so no irreducibility test runs.
+    A candidate with a root in GF(p) is skipped; the rest pass when
+    x^N = 1 and x^(N/r) != 1 for each prime r | N.  Cached per (p, m).
     """
     if exceeds_field_cap(p, m):
         raise NoDefaultPolynomial(f"{p}^{m} exceeds the {MAX_FIELD_ORDER} cap")
     if m == 1:
         return (1, 1) if p == 2 else ((-_primitive_root_mod_p(p)) % p, 1)
-    for packed in range(p ** m, 2 * p ** m):
-        coeffs = []
-        v = packed
-        for _ in range(m + 1):
-            coeffs.append(v % p)
-            v //= p
-        if coeffs[0] == 0:
+    n = p ** m - 1
+    primes = _prime_factors(n)
+    for packed in range(p ** m + 1, 2 * p ** m):
+        coeffs = [packed // p ** i % p for i in range(m + 1)]
+        if any(_poly_at(coeffs, a, p) == 0 for a in range(p)):
             continue
-        try:  # only x-bar's order is read, so a candidate builds no tables
-            if FieldSpec(p, m, coeffs, tables=False).x_is_primitive:
-                return tuple(coeffs)
-        except RejectedModulus:  # reducible
-            continue
+        # for p = 2 the base-p packing is the modulus bitmask
+        if _x_has_order(p, packed if p == 2 else coeffs, n, primes):
+            return tuple(coeffs)
     raise NoDefaultPolynomial(f"no primitive polynomial found for ({p}, {m})")
+
+
+def _poly_at(coeffs, a, p):
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * a + c) % p
+    return v
 
 
 def _primitive_root_mod_p(p):
@@ -507,7 +536,7 @@ def _cached_spec(p, m, modulus):
 
 
 def build_field(p: int, m: int, modulus=None) -> FieldSpec:
-    """Validate and build GF(p^m); use the default modulus table when omitted."""
+    """Validate and build GF(p^m); use default_modulus(p, m) when omitted."""
     if m < 1:
         raise RejectedModulus("extension degree must be >= 1")
     if modulus is None:

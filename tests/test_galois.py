@@ -1,4 +1,5 @@
 import functools
+import math
 import pathlib
 import random
 import re
@@ -94,10 +95,11 @@ def ref_inv(spec, a):
 _NOT_PRIMITIVE_3_6 = (1, 1, 1, 0, 0, 0, 1)
 
 # (p, m, modulus or None for the default): four tabled fields, one of them
-# under a modulus whose x-bar is not primitive, and GF(3^11), past
-# TABLE_MAX_ORDER, which computes without tables
+# under a modulus whose x-bar is not primitive, GF(3^11), past
+# TABLE_MAX_ORDER, which computes without tables, and GF(2^8), whose
+# product is the carry-less _clmulmod
 TABLE_FIELDS = [(3, 5, None), (5, 3, None), (7, 2, None),
-                (3, 6, _NOT_PRIMITIVE_3_6), (3, 11, None)]
+                (3, 6, _NOT_PRIMITIVE_3_6), (3, 11, None), (2, 8, None)]
 
 
 def _element(spec):
@@ -172,6 +174,67 @@ def test_default_modulus_builds_no_tables(monkeypatch):
     finally:
         default_modulus.cache_clear()
         galois._cached_spec.cache_clear()
+
+
+def _monic(p, m):
+    """Every monic polynomial of degree m over GF(p) with f(0) != 0, in the
+    search order: its base-p packing (the bitmask for p = 2) and its
+    little-endian coefficients."""
+    for packed in range(p ** m + 1, 2 * p ** m):
+        if packed % p:
+            yield packed, [packed // p ** i % p for i in range(m + 1)]
+
+
+def _extensions(limit):
+    """Every (p, m) with p prime, m >= 2 and p^m <= limit."""
+    primes = [p for p in range(2, 1 + math.isqrt(limit))
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    return [(p, m) for p in primes
+            for m in range(2, limit.bit_length()) if p ** m <= limit]
+
+
+def _reference_default_modulus(p, m):
+    # the search before the order argument: a FieldSpec per candidate (its
+    # constructor runs Rabin's irreducibility test), then x-bar's order by
+    # FieldSpec.power; callers stub out _build_tables, as the search did
+    for _, coeffs in _monic(p, m):
+        try:
+            spec = galois.FieldSpec(p, m, coeffs)
+        except RejectedModulus:  # reducible
+            continue
+        primitive = spec._has_full_order(spec.x())
+        assert spec.x_is_primitive == primitive
+        if primitive:
+            return tuple(coeffs)
+
+
+CAP_EDGES = [(2, 23), (2, 24), (3, 14), (3, 15), (5, 10), (7, 8), (11, 6),
+             (13, 6)]
+
+
+def test_default_modulus_matches_reference_search(monkeypatch):
+    monkeypatch.setattr(galois.FieldSpec, "_build_tables", lambda self: None)
+    pairs = _extensions(1 << 16)
+    assert len(pairs) == 93
+    for p, m in pairs + CAP_EDGES:
+        assert default_modulus(p, m) == _reference_default_modulus(p, m), (p, m)
+
+
+def test_order_of_x_decides_primitivity(monkeypatch):
+    # for every monic f with f(0) != 0 and p^m <= 2^10, x has order p^m - 1
+    # modulo f exactly when f is irreducible and x-bar generates GF(p^m)
+    monkeypatch.setattr(galois.FieldSpec, "_build_tables", lambda self: None)
+    for p, m in _extensions(1 << 10):
+        n = p ** m - 1
+        primes = galois._prime_factors(n)
+        for packed, coeffs in _monic(p, m):
+            primitive = is_irreducible(coeffs, p)
+            if primitive:
+                spec = galois.FieldSpec(p, m, coeffs)
+                primitive = spec._has_full_order(spec.x())
+                assert spec.x_is_primitive == primitive
+            f = packed if p == 2 else coeffs
+            assert galois._x_has_order(p, f, n, primes) == primitive, (p, coeffs)
 
 
 def test_is_irreducible_known_cases():
