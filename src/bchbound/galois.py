@@ -364,12 +364,16 @@ class FieldSpec:
         return True
 
     def generator_value(self) -> int:
-        """A verified primitive element (packed value); x-bar when possible."""
+        """A verified primitive element (packed value); x-bar when possible.
+
+        The scan starts at 2, or at x-bar (packed p) when m > 1, where no
+        constant of GF(p)* has order p^m - 1.
+        """
         if self._generator_val is None:
             if self.order == 2:
                 self._generator_val = 1
             else:
-                for cand in range(2, self.order):
+                for cand in range(2 if self.m == 1 else self.p, self.order):
                     if self._has_full_order(cand):
                         self._generator_val = cand
                         break

@@ -9,18 +9,20 @@ Both transforms take one of two paths:
   each output is a GF(p) sum with one trace per input coset off the most
   common value (see _coset_transform);
 * any other prime-field vector (a word over GF(p), a shifted divisor) is
-  summed from the root's table of alpha-powers: each output at a
-  p-cyclotomic coset representative is a sum of table entries (an XOR for
-  p = 2), and the rest of the coset follows by Frobenius,
-  out[p*i] = out[i]^p;
+  summed by packed columns: column j holds alpha^(r*j) for every p-coset
+  representative r in one int, so the outputs at all representatives are
+  one big-int add (an XOR for p = 2) per nonzero coefficient, and the rest
+  of each coset follows by Frobenius, out[p*i] = out[i]^p, packed for
+  p = 2 (see _table_transform);
 * an L-valued vector is split into its m prime-field coordinate vectors,
   each transformed as above; by GF(p)-linearity the m results recombine
   exactly (see _transform).
 
-The table path serves every input and is the reference the coset path is
-tested against.  is_rational, the one rationality test, decides whether a
-spectrum inverts into F_q(n); certificates and shifted-divisor
-constructions both use it.
+The column path serves every input and is the reference the coset path
+is tested against; the tests check it against a field sum per term.
+is_rational, the one rationality test, decides whether a spectrum
+inverts into F_q(n); certificates and shifted-divisor constructions both
+use it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from .errors import NotCosetClosed, RootMismatch
 from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import cyclotomic_cosets, is_coset_closed
 from .polyring import Poly, QuotientPoly
+
+# Column tables of at most this many bytes stay cached on their root;
+# past it, _table_transform builds them per call, a block of
+# representatives at a time (n = 8191 at q = 2 still fits).
+COLUMN_CACHE_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ def _transform(coeffs, root: RootOfUnity, sign: int):
 
 def _prime_transform(coeffs, root: RootOfUnity, sign: int):
     """_transform for coeffs in GF(p): by cosets when coeffs is constant
-    on the p-cyclotomic cosets mod n, else from the table."""
+    on the p-cyclotomic cosets mod n, else by packed columns."""
     n, p = root.n, root.spec.p
     if len(coeffs) == n and all(coeffs[p * j % n] == c
                                 for j, c in enumerate(coeffs)):
@@ -99,34 +106,113 @@ def _prime_transform(coeffs, root: RootOfUnity, sign: int):
 
 
 def _table_transform(coeffs, root: RootOfUnity, sign: int):
-    """_transform for coeffs in GF(p), from the table of alpha-powers."""
-    spec, n, powers = root.spec, root.n, root.powers
-    p = spec.p
-    # group the exponents by coefficient, so that
-    # out[i] = sum_c c * (sum of alpha^(sign*i*j) over j with coeffs[j] = c)
-    by_coeff = {}
-    for j, c in enumerate(coeffs):
-        if c:
-            by_coeff.setdefault(c, []).append(j)
-    add, mul = spec.add, spec.mul
-    out = [None] * n
-    for i in range(n):
-        if out[i] is not None:
+    """_transform for coeffs in GF(p), by packed columns (see _columns).
+
+    The transform at the p-coset representatives is the sum of
+    coeffs[j] * C_j over j: an XOR of columns for p = 2, else a big-int
+    sum whose digit lanes are reduced mod p at the end.  Input longer than
+    n is first folded mod x^n - 1, so no lane overflows.  The rest of each
+    orbit follows by Frobenius, out[p*i] = out[i]^p: for p = 2 on all
+    lanes at once, since squaring is GF(2)-linear,
+    (sum_k b_k xbar^k)^2 = sum_k b_k xbar^(2k); for odd p by spec.power.
+    sign = -1 reads the sign = 1 output at -i mod n.
+    """
+    spec, n = root.spec, root.n
+    p, m = spec.p, spec.m
+    if len(coeffs) > n:
+        folded = [0] * n
+        for j, c in enumerate(coeffs):
+            folded[j % n] += c
+        coeffs = [c % p for c in folded]
+    orbits, w = _orbits(n, p), _digit_width(n, p)
+    per_block = max(1, COLUMN_CACHE_BYTES * 8 // (n * m * w))
+    if len(orbits) <= per_block:
+        blocks = [(orbits, _cached_columns(root))]
+    else:
+        blocks = ((orbits[s:s + per_block],
+                   _columns(root, orbits[s:s + per_block]))
+                  for s in range(0, len(orbits), per_block))
+    out = [0] * n
+    for block, columns in blocks:
+        if p == 2:
+            acc = 0
+            for c, column in zip(coeffs, columns):
+                if c:
+                    acc ^= column
+            _binary_orbits(acc, block, spec, out)
             continue
-        step = sign * i % n
-        acc = 0
-        for c, exps in by_coeff.items():
-            part = 0
-            for j in exps:
-                part = add(part, powers[step * j % n])
-            acc = add(acc, part if c == 1 else mul(c, part))
-        out[i] = acc
-        k = p * i % n
-        while k != i:  # the rest of the coset of i, by Frobenius
-            acc = spec.power(acc, p)
-            out[k] = acc
-            k = p * k % n
-    return out
+        acc = sum(c * column for c, column in zip(coeffs, columns) if c)
+        mask, weights = (1 << w) - 1, [p ** k for k in range(m)]
+        for orbit in block:
+            v = 0
+            for weight in weights:
+                v += (acc & mask) % p * weight
+                acc >>= w
+            out[orbit[0]] = v
+            for i in orbit[1:]:
+                v = out[i] = spec.power(v, p)
+    return out if sign > 0 else [out[-i % n] for i in range(n)]
+
+
+def _binary_orbits(acc, block, spec, out):
+    """Write out[r * 2^s] for each orbit (r, 2r, ...) of block, lane t of
+    acc holding out[r] for the t-th orbit; one packed squaring per step."""
+    m = spec.m
+    mask = (1 << m) - 1
+    ones = ((1 << m * len(block)) - 1) // mask  # bit 0 of every lane
+    for s in range(max(map(len, block))):
+        if s:
+            level, acc = acc, 0
+            for k, sq in enumerate(_squares(spec)):
+                acc ^= (level >> k & ones) * sq
+        lanes = acc
+        for orbit in block:
+            if s < len(orbit):
+                out[orbit[s]] = lanes & mask
+            lanes >>= m
+
+
+@functools.lru_cache(maxsize=None)
+def _squares(spec: FieldSpec) -> tuple:
+    """xbar^(2k) for k in [0, m), p = 2: the squares of the basis."""
+    return tuple(spec.mul(1 << k, 1 << k) for k in range(spec.m))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbits(n: int, p: int) -> tuple:
+    """The p-cyclotomic cosets mod n, each listed as r, p*r, p^2*r, ..."""
+    return tuple(tuple(c[0] * pow(p, s, n) % n for s in range(len(c)))
+                 for c in cyclotomic_cosets(n, p).cosets)
+
+
+def _digit_width(n: int, p: int) -> int:
+    """Bits per digit lane: 1 for p = 2, where an XOR never carries, else
+    room for a sum of n products of two digits, n(p - 1)^2."""
+    return 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_columns(root: RootOfUnity) -> tuple:
+    """_columns of every orbit, built once per root under the cap."""
+    return tuple(_columns(root, _orbits(root.n, root.spec.p)))
+
+
+def _columns(root: RootOfUnity, orbits) -> list:
+    """C_j for j in [0, n): alpha^(r*j) for the representative r of each
+    orbit, packed into one int with the first orbit's lane lowest.
+
+    A lane holds the m digits of its value, w = _digit_width bits each,
+    digit k at bit k*w of the lane; for p = 2 that is the packed value.
+    """
+    spec, n = root.spec, root.n
+    w = _digit_width(n, spec.p)
+    values = root.powers if w == 1 else [
+        sum(d << k * w for k, d in enumerate(spec.decode(v)))
+        for v in root.powers]
+    lane = [format(v, f"0{spec.m * w}b") for v in values]
+    top = [orbit[0] for orbit in reversed(orbits)]
+    return [int("".join([lane[r * j % n] for r in top]), 2)
+            for j in range(n)]
 
 
 def _coset_transform(coeffs, root: RootOfUnity, sign: int):

@@ -318,6 +318,19 @@ def test_generator_has_full_order():
         assert len(seen) == spec.order - 1
 
 
+@pytest.mark.parametrize("p,m,modulus", [
+    (3, 1, None), (7, 1, None), (2, 4, None),
+    (2, 4, (1, 1, 1, 1, 1)),       # x-bar of order 5, not primitive
+    (2, 8, None), (3, 2, None), (3, 6, _NOT_PRIMITIVE_3_6),
+    (5, 2, (2, 0, 1)),             # x^2 + 2: x-bar of order 8, not 24
+    (3, 7, None), (251, 2, None)])
+def test_generator_scan_matches_a_scan_from_2(p, m, modulus):
+    # a fresh FieldSpec, so that the scan runs here
+    spec = galois.FieldSpec(p, m, modulus or galois.default_modulus(p, m))
+    first = next(v for v in range(2, spec.order) if spec._has_full_order(v))
+    assert spec.generator_value() == first
+
+
 def test_nth_root_order_is_exact():
     spec = build_field(2, 6)
     for n in (3, 7, 9, 21, 63):

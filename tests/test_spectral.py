@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bchbound import spectral
 from bchbound.errors import CoefficientLeak, NotCosetClosed
-from bchbound.galois import FieldElement, build_field, nth_root, poly_str
+from bchbound.galois import (FieldElement, build_field, nth_root, poly_str,
+                             root_from_x)
 from bchbound.modring import coset_closure, cyclotomic_cosets, multiplicative_order
 from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
@@ -48,6 +49,41 @@ def _horner_idft(values, root):
     spec = root.spec
     n_inv = ref_inv(spec, root.n % spec.p)
     return tuple(ref_mul(spec, n_inv, v) for v in _horner(values, root, -1))
+
+
+def _reference_transform(coeffs, root, sign):
+    """Reference for spectral._table_transform: a field sum per term.
+
+    Each output at a p-coset representative i sums alpha^(sign*i*j) over
+    the support, grouped by coefficient, with FieldSpec.add; the rest of
+    the coset follows by Frobenius, out[p*i] = out[i]^p, with spec.power.
+    It shares no packing with the library's columns.
+    """
+    spec, n, powers = root.spec, root.n, root.powers
+    p = spec.p
+    by_coeff = {}
+    for j, c in enumerate(coeffs):
+        if c:
+            by_coeff.setdefault(c, []).append(j)
+    add, mul = spec.add, spec.mul
+    out = [None] * n
+    for i in range(n):
+        if out[i] is not None:
+            continue
+        step = sign * i % n
+        acc = 0
+        for c, exps in by_coeff.items():
+            part = 0
+            for j in exps:
+                part = add(part, powers[step * j % n])
+            acc = add(acc, part if c == 1 else mul(c, part))
+        out[i] = acc
+        k = p * i % n
+        while k != i:
+            acc = spec.power(acc, p)
+            out[k] = acc
+            k = p * k % n
+    return out
 
 
 def _values(top, min_size, max_size):
@@ -148,6 +184,108 @@ def test_power_table_and_discrete_log(n, q, m):
     outside = [v for v in range(1, root.spec.order) if root.dlog(v) is None]
     assert len(outside) == root.spec.order - 1 - n
     assert all(root.spec.power(v, n) != 1 for v in outside[:50])
+
+
+# (p, m, modulus, n, from_x) for the packed columns against the reference:
+# p in {2, 3, 5, 7}, m = 1 fields, n = 1, a modulus whose x-bar has order 5
+# (taken as the root and under a primitive root of order 15), and GF(3^8),
+# past TABLE_MAX_ORDER, at n = 41
+PACKED_SETUPS = [(2, 4, None, 15, False), (2, 6, None, 21, False),
+                 (2, 1, None, 1, False), (3, 1, None, 2, False),
+                 (5, 1, None, 4, False), (7, 1, None, 6, False),
+                 (2, 4, (1, 1, 1, 1, 1), 5, True),
+                 (2, 4, (1, 1, 1, 1, 1), 15, False),
+                 (3, 5, None, 11, False), (3, 8, None, 41, False),
+                 (5, 2, None, 24, False), (7, 2, None, 16, False)]
+
+
+@functools.lru_cache(maxsize=None)
+def _packed_root(p, m, modulus, n, from_x):
+    spec = build_field(p, m, modulus)
+    return root_from_x(spec, n) if from_x else nth_root(spec, n)
+
+
+def _check_packed(coeffs, root):
+    for sign in (1, -1):
+        packed = spectral._table_transform(coeffs, root, sign)
+        assert packed == _reference_transform(coeffs, root, sign)
+        assert tuple(packed) == _horner(coeffs, root, sign)
+
+
+@pytest.mark.parametrize("setup", PACKED_SETUPS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_packed_columns_match_the_reference(setup, data):
+    root = _packed_root(*setup)
+    n, p = root.n, root.spec.p
+    _check_packed(data.draw(_values(p, 0, 2 * n)), root)
+
+
+@pytest.mark.parametrize("setup", PACKED_SETUPS)
+def test_packed_columns_at_full_lane_load(setup):
+    # all coefficients p - 1 put the largest load on the digit lanes; it
+    # stays under n(p - 1)^2 only because longer input is folded first
+    root = _packed_root(*setup)
+    n, p = root.n, root.spec.p
+    _check_packed((0,) * n, root)
+    for length in sorted({n, n + 1, 2 * n - 1, 2 * n}):
+        _check_packed((p - 1,) * length, root)
+
+
+@pytest.mark.parametrize("n,q,m", [(255, 2, 8), (121, 3, 5), (24, 5, 2)])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_packed_columns_match_the_reference_at_long_lengths(n, q, m, data):
+    root = _root(n, q, m)
+    coeffs = data.draw(_values(q, n, 2 * n))
+    for sign in (1, -1):
+        assert (spectral._table_transform(coeffs, root, sign)
+                == _reference_transform(coeffs, root, sign))
+
+
+def _counting_columns(monkeypatch):
+    built = []
+    columns = spectral._columns
+
+    def count(root, orbits):
+        built.append(len(orbits))
+        return columns(root, orbits)
+
+    monkeypatch.setattr(spectral, "_columns", count)
+    spectral._cached_columns.cache_clear()
+    return built
+
+
+def test_columns_past_the_cap_are_built_per_call(monkeypatch):
+    built = _counting_columns(monkeypatch)
+    monkeypatch.setattr(spectral, "COLUMN_CACHE_BYTES", 2)
+    rng = random.Random(309)
+    for root, q in [(_root(21, 2, 6), 2), (_root(11, 3, 5), 3)]:
+        orbits = len(cyclotomic_cosets(root.n, q).cosets)
+        coeffs = [rng.randrange(q) for _ in range(root.n)]
+        for sign in (1, -1):
+            del built[:]
+            assert (spectral._table_transform(coeffs, root, sign)
+                    == _reference_transform(coeffs, root, sign))
+            # one block per representative: 2 bytes hold less than a column
+            assert built == [1] * orbits
+    assert spectral._cached_columns.cache_info().currsize == 0
+
+
+def test_columns_under_the_cap_are_built_once(monkeypatch):
+    built = _counting_columns(monkeypatch)
+    root = _root(255, 2, 8)
+    orbits = len(cyclotomic_cosets(255, 2).cosets)
+    rng = random.Random(310)
+    for sign in (1, -1, 1, -1):
+        coeffs = [rng.randrange(2) for _ in range(255)]
+        assert (spectral._table_transform(coeffs, root, sign)
+                == _reference_transform(coeffs, root, sign))
+    assert built == [orbits]
+    assert spectral._cached_columns.cache_info().currsize == 1
+    # n |R| m bits: about 9 KiB, far under the cap
+    table = spectral._cached_columns(root)
+    assert sum(c.bit_length() for c in table) <= 255 * orbits * 8
 
 
 def test_spectrum_str_names_root_powers(root15):
@@ -278,7 +416,7 @@ def _coset_root(n, q):
 
 
 def _table_idft(values, root):
-    """Reference inverse: the table path, which serves every input."""
+    """Reference inverse: the packed-column path, which serves every input."""
     spec = root.spec
     n_inv = spec.inv(root.n % spec.p)
     return tuple(spec.mul(n_inv, c)
@@ -337,7 +475,7 @@ def test_coset_constant_vectors_match_the_table(n, q, data):
 
 def test_coset_constant_input_skips_the_table(root21, monkeypatch):
     def table(*args):
-        raise AssertionError("coset-constant input reached the table path")
+        raise AssertionError("coset-constant input reached the column path")
 
     s = indicator_spectrum(coset_closure([1, 3, 7], 21, 2), root21)
     monkeypatch.setattr(spectral, "_table_transform", table)
