@@ -25,7 +25,7 @@ from .forge import (
     find_shift,
     primitive_family,
 )
-from .galois import FieldElement, FieldSpec, RootOfUnity, build_field, nth_root, root_from_x
+from .galois import FieldSpec, RootOfUnity, build_field, nth_root, root_from_x
 from .modring import coset_closure, cyclotomic_cosets, representative_set
 from .polyring import Poly, QuotientPoly, factor_xn, minimal_polynomial
 from .spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
@@ -35,8 +35,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ApparentDistanceReport", "BchSpec", "BchboundError", "Certificate",
-    "ConstructionRecord", "CyclicCode", "DistanceResult", "FieldElement",
-    "FieldSpec", "Poly", "QuotientPoly", "RootOfUnity", "Spectrum",
+    "ConstructionRecord", "CyclicCode", "DistanceResult", "FieldSpec",
+    "Poly", "QuotientPoly", "RootOfUnity", "Spectrum",
     "apparent_distance_vec", "bch_code", "bose_distance", "build_field",
     "certify_equality", "code_apparent_distance", "code_from_defining_set",
     "congruence_construct", "construct_from_divisor", "coset_closure",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .codes import CyclicCode
 from .galois import RootOfUnity
 from .modring import cyclic_runs
-from .polyring import Poly, QuotientPoly, cyclic_shift, divisor_enumerate, factor_xn
-from .spectral import Spectrum, is_rational
+from .polyring import Poly, divisor_enumerate, factor_xn
+from .spectral import Spectrum, is_rational, shifted_spectrum
 
 DEFAULT_DIVISOR_BUDGET = 10 ** 6
 
@@ -70,8 +70,7 @@ class Certificate:
     def codeword_spectrum(self) -> Spectrum:
         """x^k * g mod x^n - 1, read as a spectrum over the root; rational,
         and supported off a*D for the certificate's representative a."""
-        f = QuotientPoly.from_poly(self.divisor, self.root.n)
-        return Spectrum(self.root.n, self.root, cyclic_shift(f, self.k).coeffs)
+        return shifted_spectrum(self.divisor, self.k, self.root)
 
 
 def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
@@ -100,12 +99,10 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
 def _check_divisor(code: CyclicCode, g: Poly, allowed):
     n = code.n
     supp = sorted(g.support())
-    f = QuotientPoly.from_poly(g, n)
     for a in sorted(allowed):
         for k in range(n):
             if not {(i + k) % n for i in supp} <= allowed[a]:
                 continue
-            s = Spectrum(n, code.root, cyclic_shift(f, k).coeffs)
-            if is_rational(s):
+            if is_rational(shifted_spectrum(g, k, code.root)):
                 return Certificate(g, k, a, code.root)
     return None

@@ -29,6 +29,7 @@ from .galois import (
     MAX_FIELD_ORDER,
     build_field,
     exceeds_field_cap,
+    is_prime,
     nth_root,
     root_from_x,
 )
@@ -45,14 +46,10 @@ from .wtdist import DEFAULT_CAP, min_distance
 EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_COMPUTE = 0, 1, 2, 3
 
 
-def _is_prime(q):
-    return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
-
-
 def _check_args(args):
     """Reject a bad --n, --q or --cap before any computation starts."""
     n, q = getattr(args, "n", None), getattr(args, "q", None)
-    if q is not None and not (q <= MAX_FIELD_ORDER and _is_prime(q)):
+    if q is not None and not (q <= MAX_FIELD_ORDER and is_prime(q)):
         raise argparse.ArgumentTypeError(
             f"--q must be a prime at most {MAX_FIELD_ORDER}, not {q}")
     if n is not None and not 1 <= n <= MAX_N:

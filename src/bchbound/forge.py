@@ -21,8 +21,8 @@ from .modring import (
     solve_linear_congruence,
     totient,
 )
-from .polyring import Poly, QuotientPoly, cyclic_shift, factor_xn, minimal_polynomial
-from .spectral import Spectrum, idft, is_rational
+from .polyring import Poly, QuotientPoly, factor_xn, minimal_polynomial
+from .spectral import Spectrum, idft, is_rational, shifted_spectrum
 from .wtdist import DEFAULT_CAP, min_distance
 
 
@@ -59,8 +59,7 @@ class ConstructionRecord:
 
 def _rational_shift(g: Poly, k: int, root: RootOfUnity) -> Spectrum:
     """x^k * g read as a spectrum; NotRational unless it inverts into F_q(n)."""
-    f = cyclic_shift(QuotientPoly.from_poly(g, root.n), k)
-    s = Spectrum(root.n, root, f.coeffs)
+    s = shifted_spectrum(g, k, root)
     if not is_rational(s):
         raise NotRational(f"shift k={k} leaves spectrum values outside "
                           f"GF({root.spec.p})")
@@ -92,10 +91,8 @@ def find_shift(g: Poly, root: RootOfUnity):
     g(alpha^j) * alpha^(jk) in GF(q) for every j.  Returns None when no shift
     works.
     """
-    n = root.n
-    f = QuotientPoly.from_poly(g, n)
-    for k in range(n):
-        if is_rational(Spectrum(n, root, cyclic_shift(f, k).coeffs)):
+    for k in range(root.n):
+        if is_rational(shifted_spectrum(g, k, root)):
             return k
     return None
 

@@ -137,7 +137,8 @@ def _x_has_order(p, f, n, primes) -> bool:
     return is_one(n) and not any(is_one(n // r) for r in primes)
 
 
-def _prime_factors(n):
+@functools.lru_cache(maxsize=None)
+def _prime_factors(n) -> tuple:
     out = []
     d = 2
     while d * d <= n:
@@ -148,7 +149,22 @@ def _prime_factors(n):
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
+
+
+def is_prime(p: int) -> bool:
+    """True iff p is a prime, by trial division."""
+    return _prime_factors(p) == (p,)
+
+
+def _check_characteristic(p: int):
+    """RejectedModulus unless p is a prime at most MAX_FIELD_ORDER (larger
+    p are past the cap, and not tested).  Run before any arithmetic mod p:
+    for a composite p that arithmetic builds a ring that is not a field."""
+    if not (p <= MAX_FIELD_ORDER and is_prime(p)):
+        raise RejectedModulus(
+            f"the characteristic must be a prime at most {MAX_FIELD_ORDER}, "
+            f"not {p}")
 
 
 def _polsub(a, b, p):
@@ -196,11 +212,11 @@ class FieldSpec:
     Every other field has no lists (_log is None) and computes directly.
     """
 
-    __slots__ = ("p", "m", "modulus", "order", "_mod_mask", "_group_factors",
-                 "_generator_val", "x_is_primitive", "_inv_cache",
-                 "_exp", "_log", "_zech")
+    __slots__ = ("p", "m", "modulus", "order", "_mod_mask", "_generator_val",
+                 "x_is_primitive", "_inv_cache", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus):
+        _check_characteristic(p)
         if exceeds_field_cap(p, m):
             raise RejectedModulus(
                 f"GF({p}^{m}) exceeds the field-order cap {MAX_FIELD_ORDER}")
@@ -220,12 +236,12 @@ class FieldSpec:
             self._mod_mask = sum(c << i for i, c in enumerate(modulus))
         else:
             self._mod_mask = None
-        self._group_factors = _prime_factors(self.order - 1) if self.order > 2 else []
         self._generator_val = None
         self._inv_cache = {}
         self._exp = self._log = self._zech = None
         self.x_is_primitive = _x_has_order(
-            p, self._mod_mask or modulus, self.order - 1, self._group_factors)
+            p, self._mod_mask or modulus, self.order - 1,
+            _prime_factors(self.order - 1))
         if p != 2 and self.order <= TABLE_MAX_ORDER:
             self._build_tables()
 
@@ -355,13 +371,12 @@ class FieldSpec:
                 self._inv_cache[a] = cached
         return cached
 
-    def _has_full_order(self, val) -> bool:
-        if val == 0:
-            return False
-        for r in self._group_factors:
-            if self.power(val, (self.order - 1) // r) == 1:
-                return False
-        return True
+    def _has_order(self, v: int, n: int) -> bool:
+        """True iff the packed value v is a unit of order exactly n."""
+        return (n >= 1 and (self.order - 1) % n == 0 and 0 < v < self.order
+                and self.power(v, n) == 1
+                and not any(self.power(v, n // r) == 1
+                            for r in _prime_factors(n)))
 
     def generator_value(self) -> int:
         """A verified primitive element (packed value); x-bar when possible.
@@ -374,7 +389,7 @@ class FieldSpec:
                 self._generator_val = 1
             else:
                 for cand in range(2 if self.m == 1 else self.p, self.order):
-                    if self._has_full_order(cand):
+                    if self._has_order(cand, self.order - 1):
                         self._generator_val = cand
                         break
                 else:  # pragma: no cover - every finite field has a generator
@@ -408,69 +423,27 @@ class FieldSpec:
         return f"FieldSpec(GF({self.p}^{self.m}), modulus={poly_str(self.modulus)})"
 
 
-class FieldElement:
-    """Value-type element of a FieldSpec."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec: FieldSpec, val: int):
-        self.spec = spec
-        self.val = val
-
-    @property
-    def coeffs(self):
-        return self.spec.decode(self.val)
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.val, other.val))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.val, other.val))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.val))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.val, other.val))
-
-    def __truediv__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.val, self.spec.inv(other.val)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.power(self.val, e))
-
-    def inverse(self):
-        return FieldElement(self.spec, self.spec.inv(self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and self.val == other.val and self.spec == other.spec)
-
-    def __hash__(self):
-        return hash((self.val, self.spec.p, self.spec.m))
-
-    def __repr__(self):
-        return f"<{self.coeffs} in GF({self.spec.p}^{self.spec.m})>"
-
-
 @dataclass(frozen=True)
 class RootOfUnity:
-    """A verified primitive n-th root of unity in its field."""
+    """A primitive n-th root of unity alpha of a field, as a packed value.
 
-    element: FieldElement
+    Construction checks that value has order exactly n, and raises
+    OrderUnavailable otherwise.
+    """
+
+    spec: FieldSpec
+    value: int
     n: int
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.element.spec
+    def __post_init__(self):
+        if not self.spec._has_order(self.value, self.n):
+            raise OrderUnavailable(
+                f"{self.value} does not have order {self.n} in {self.spec!r}")
 
     @functools.cached_property
     def powers(self) -> tuple:
         """powers[t] = alpha^t as packed values, for t in [0, n); built once."""
-        mul, a = self.spec.mul, self.element.val
+        mul, a = self.spec.mul, self.value
         out = [1]
         for _ in range(self.n - 1):
             out.append(mul(out[-1], a))
@@ -503,12 +476,15 @@ def default_modulus(p: int, m: int):
     A candidate with a root in GF(p) is skipped; the rest pass when
     x^N = 1 and x^(N/r) != 1 for each prime r | N.  Cached per (p, m).
     """
+    _check_characteristic(p)
     if exceeds_field_cap(p, m):
         raise NoDefaultPolynomial(f"{p}^{m} exceeds the {MAX_FIELD_ORDER} cap")
-    if m == 1:
-        return (1, 1) if p == 2 else ((-_primitive_root_mod_p(p)) % p, 1)
     n = p ** m - 1
     primes = _prime_factors(n)
+    if m == 1:  # x - g for the least generator g of GF(p)*; x + 1 for p = 2
+        g = next((g for g in range(2, p)
+                  if all(pow(g, n // r, p) != 1 for r in primes)), 1)
+        return ((-g) % p, 1)
     for packed in range(p ** m + 1, 2 * p ** m):
         coeffs = [packed // p ** i % p for i in range(m + 1)]
         if any(_poly_at(coeffs, a, p) == 0 for a in range(p)):
@@ -526,14 +502,6 @@ def _poly_at(coeffs, a, p):
     return v
 
 
-def _primitive_root_mod_p(p):
-    facs = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // r, p) != 1 for r in facs):
-            return g
-    return 1
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_spec(p, m, modulus):
     return FieldSpec(p, m, modulus)
@@ -541,6 +509,7 @@ def _cached_spec(p, m, modulus):
 
 def build_field(p: int, m: int, modulus=None) -> FieldSpec:
     """Validate and build GF(p^m); use default_modulus(p, m) when omitted."""
+    _check_characteristic(p)
     if m < 1:
         raise RejectedModulus("extension degree must be >= 1")
     if modulus is None:
@@ -555,10 +524,7 @@ def nth_root(spec: FieldSpec, n: int) -> RootOfUnity:
     if n < 1 or (spec.order - 1) % n != 0:
         raise OrderUnavailable(f"{n} does not divide {spec.order - 1}")
     g = spec.generator_value()
-    z = spec.power(g, (spec.order - 1) // n)
-    root = RootOfUnity(FieldElement(spec, z), n)
-    _check_order(root)
-    return root
+    return RootOfUnity(spec, spec.power(g, (spec.order - 1) // n), n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -569,18 +535,7 @@ def root_from_x(spec: FieldSpec, n: int) -> RootOfUnity:
     the field with that polynomial as modulus, then x-bar is the root.  One
     root per (spec, n), like nth_root.
     """
-    root = RootOfUnity(FieldElement(spec, spec.x()), n)
-    _check_order(root)
-    return root
-
-
-def _check_order(root: RootOfUnity):
-    spec, z, n = root.spec, root.element.val, root.n
-    if z == 0 or spec.power(z, n) != 1:
-        raise OrderUnavailable(f"element is not an n-th root for n={n}")
-    for r in _prime_factors(n):
-        if spec.power(z, n // r) == 1:
-            raise OrderUnavailable(f"element order properly divides {n}")
+    return RootOfUnity(spec, spec.x(), n)
 
 
 def poly_str(coeffs) -> str:

@@ -331,5 +331,5 @@ def divisor_enumerate(factors: FactorList, target_degree: int | None = None,
             yield prod, frozenset(roots)
         if size > left:
             raise BudgetExceeded(f"divisor budget {budget} exhausted "
-                                 f"after {budget} candidates")
+                                 f"after {budget} subsets")
         left -= size

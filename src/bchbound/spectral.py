@@ -1,28 +1,28 @@
 """Discrete Fourier (Mattson-Solomon) transform over the splitting field.
 
 Spectra are length-n vectors over L = GF(p^m); index i holds f(alpha^i).
-Both transforms take one of two paths:
+Both transforms work on prime-field vectors: an L-valued vector is split
+into its m prime-field coordinate vectors, each transformed alone, and by
+GF(p)-linearity the m results recombine exactly (see _transform).  A
+prime-field vector takes one of two paths:
 
-* a prime-field vector of length n that is constant on p-cyclotomic
+* a vector of length n that is constant on p-cyclotomic
   cosets (an indicator spectrum, an idempotent) is summed by cosets: the
   sum over a coset C of r of alpha^(i*j) is a trace of alpha^(i*r), so
   each output is a GF(p) sum with one trace per input coset off the most
   common value (see _coset_transform);
-* any other prime-field vector (a word over GF(p), a shifted divisor) is
+* any other vector (a word over GF(p), a shifted divisor) is
   summed by packed columns: column j holds alpha^(r*j) for every p-coset
   representative r in one int, so the outputs at all representatives are
   one big-int add (an XOR for p = 2) per nonzero coefficient, and the rest
   of each coset follows by Frobenius, out[p*i] = out[i]^p, packed for
-  p = 2 (see _table_transform);
-* an L-valued vector is split into its m prime-field coordinate vectors,
-  each transformed as above; by GF(p)-linearity the m results recombine
-  exactly (see _transform).
+  p = 2 (see _table_transform).
 
 The column path serves every input and is the reference the coset path
 is tested against; the tests check it against a field sum per term.
 is_rational, the one rationality test, decides whether a spectrum
 inverts into F_q(n); certificates and shifted-divisor constructions both
-use it.
+apply it to shifted_spectrum, the one spectrum of a shifted divisor.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .errors import NotCosetClosed, RootMismatch
 from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import cyclotomic_cosets, is_coset_closed
-from .polyring import Poly, QuotientPoly
+from .polyring import Poly, QuotientPoly, cyclic_shift
 
 # Column tables of at most this many bytes stay cached on their root;
 # past it, _table_transform builds them per call, a block of
@@ -295,6 +295,12 @@ def is_rational(s: Spectrum) -> bool:
     n, q, values = s.n, spec.p, s.values
     return all(values[q * i % n] == (v if v < q else spec.power(v, q))
                for i, v in enumerate(values))
+
+
+def shifted_spectrum(g: Poly, k: int, root: RootOfUnity) -> Spectrum:
+    """x^k * g mod x^n - 1, its coefficients read as a spectrum over root."""
+    f = QuotientPoly.from_poly(g, root.n)
+    return Spectrum(root.n, root, cyclic_shift(f, k).coeffs)
 
 
 def indicator_spectrum(defining_set, root: RootOfUnity) -> Spectrum:

@@ -1,14 +1,11 @@
 import functools
 import math
-import pathlib
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bchbound
 from bchbound import galois
 from bchbound.errors import (
     InvalidSubfield,
@@ -19,13 +16,14 @@ from bchbound.errors import (
 from bchbound.galois import (
     MAX_FIELD_ORDER,
     TABLE_MAX_ORDER,
-    FieldElement,
+    RootOfUnity,
     _polmod,
     _polmul,
     build_field,
     default_modulus,
     exceeds_field_cap,
     is_irreducible,
+    is_prime,
     nth_root,
     poly_str,
     root_from_x,
@@ -202,7 +200,7 @@ def _reference_default_modulus(p, m):
             spec = galois.FieldSpec(p, m, coeffs)
         except RejectedModulus:  # reducible
             continue
-        primitive = spec._has_full_order(spec.x())
+        primitive = spec._has_order(spec.x(), spec.order - 1)
         assert spec.x_is_primitive == primitive
         if primitive:
             return tuple(coeffs)
@@ -231,7 +229,7 @@ def test_order_of_x_decides_primitivity(monkeypatch):
             primitive = is_irreducible(coeffs, p)
             if primitive:
                 spec = galois.FieldSpec(p, m, coeffs)
-                primitive = spec._has_full_order(spec.x())
+                primitive = spec._has_order(spec.x(), spec.order - 1)
                 assert spec.x_is_primitive == primitive
             f = packed if p == 2 else coeffs
             assert galois._x_has_order(p, f, n, primes) == primitive, (p, coeffs)
@@ -283,27 +281,27 @@ def test_field_axioms_random():
     rng = random.Random(20817)
     for p, m in [(2, 6), (3, 3), (7, 2)]:
         spec = build_field(p, m)
-        zero, one = FieldElement(spec, 0), FieldElement(spec, 1)
-        elems = [FieldElement(spec, rng.randrange(spec.order)) for _ in range(40)]
+        add, mul = spec.add, spec.mul
+        elems = [rng.randrange(spec.order) for _ in range(40)]
         for i in range(0, 39, 3):
             a, b, c = elems[i], elems[i + 1], elems[i + 2]
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert a * b == b * a
-            assert a - a == zero
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert mul(a, b) == mul(b, a)
+            assert spec.sub(a, a) == 0
             if a:
-                assert a * a.inverse() == one
+                assert mul(a, spec.inv(a)) == 1
                 # Lagrange: the unit group has order p^m - 1
-                assert a ** (spec.order - 1) == one
+                assert spec.power(a, spec.order - 1) == 1
 
 
 def test_frobenius_is_additive():
     spec = build_field(2, 5)
     rng = random.Random(5)
     for _ in range(50):
-        a = FieldElement(spec, rng.randrange(32))
-        b = FieldElement(spec, rng.randrange(32))
-        assert (a + b) ** 2 == a ** 2 + b ** 2
+        a, b = rng.randrange(32), rng.randrange(32)
+        assert (spec.power(spec.add(a, b), 2)
+                == spec.add(spec.power(a, 2), spec.power(b, 2)))
 
 
 def test_generator_has_full_order():
@@ -327,7 +325,7 @@ def test_generator_has_full_order():
 def test_generator_scan_matches_a_scan_from_2(p, m, modulus):
     # a fresh FieldSpec, so that the scan runs here
     spec = galois.FieldSpec(p, m, modulus or galois.default_modulus(p, m))
-    first = next(v for v in range(2, spec.order) if spec._has_full_order(v))
+    first = next(v for v in range(2, spec.order) if spec._has_order(v, spec.order - 1))
     assert spec.generator_value() == first
 
 
@@ -358,8 +356,8 @@ def test_nth_root_requires_divisor_of_group_order():
 def test_root_from_x_n15(root15):
     # with modulus x^4 + x + 1 the class of x already has order 15
     spec = root15.spec
-    assert root15.element == FieldElement(spec, spec.x())
-    assert root15.pow(1) == spec.x()
+    assert root15 == RootOfUnity(spec, spec.x(), 15)
+    assert root15.value == root15.pow(1) == spec.x()
     assert spec.power(spec.x(), 15) == 1
 
 
@@ -367,6 +365,40 @@ def test_root_from_x_rejects_wrong_order():
     spec = build_field(2, 4, (1, 1, 0, 0, 1))
     with pytest.raises(OrderUnavailable):
         root_from_x(spec, 5)
+
+
+def test_a_root_is_checked_when_it_is_made():
+    spec = build_field(2, 4, (1, 1, 0, 0, 1))
+    x = spec.x()  # of order 15
+    assert RootOfUnity(spec, x, 15).pow(1) == x
+    assert RootOfUnity(spec, spec.power(x, 5), 3).n == 3
+    bad = [(1, 15),                    # order 1
+           (spec.power(x, 3), 15),     # order 5
+           (x, 5), (x, 30), (x, 0), (x, -15),
+           (0, 15), (x + 16, 15)]      # zero, and a value past the field
+    for value, n in bad:
+        with pytest.raises(OrderUnavailable):
+            RootOfUnity(spec, value, n)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9, -3])
+def test_a_composite_characteristic_is_rejected(p):
+    assert not is_prime(p)
+    with pytest.raises(RejectedModulus, match="characteristic"):
+        build_field(p, 1)
+    with pytest.raises(RejectedModulus, match="characteristic"):
+        build_field(p, 1, (2, 1))
+    with pytest.raises(RejectedModulus, match="characteristic"):
+        default_modulus(p, 2)
+    with pytest.raises(RejectedModulus, match="characteristic"):
+        galois.FieldSpec(p, 1, (2, 1))
+
+
+def test_is_prime():
+    assert [v for v in range(-5, 40) if is_prime(v)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert is_prime(MAX_FIELD_ORDER - 3)   # 16,777,213
+    assert not is_prime(MAX_FIELD_ORDER - 1)
 
 
 def test_in_subfield():
@@ -395,14 +427,3 @@ def test_poly_str():
     assert poly_str((0, 1)) == "x"
     assert poly_str((1,)) == "1"
 
-
-def test_field_element_stays_at_the_public_edge():
-    # every internal path works on packed ints; only galois builds or
-    # unwraps a FieldElement, and __init__ re-exports it
-    src = pathlib.Path(bchbound.__file__).parent
-    for path in sorted(src.glob("*.py")):
-        if path.name in ("galois.py", "__init__.py"):
-            continue
-        text = path.read_text()
-        assert "FieldElement" not in text, path.name
-        assert not re.search(r"\.val\b", text), path.name

@@ -161,7 +161,7 @@ def test_divisor_enumerate_counts(root15):
         assert poly.degree == 8
         rem = Poly.xn_minus_1(root15.spec, 15).divmod(poly)[1]
         assert rem.is_zero()
-    with pytest.raises(BudgetExceeded, match="budget 3 exhausted after 3 candidates"):
+    with pytest.raises(BudgetExceeded, match="budget 3 exhausted after 3 subsets"):
         list(divisor_enumerate(factors, budget=3))
 
 
@@ -171,7 +171,7 @@ def test_divisor_budget_counts_subsets_visited():
     factors = factor_xn(63, root)
     assert len(factors.factors) == 13
     assert len(list(divisor_enumerate(factors, budget=2 ** 13))) == 2 ** 13 - 1
-    with pytest.raises(BudgetExceeded, match="after 8191 candidates"):
+    with pytest.raises(BudgetExceeded, match="after 8191 subsets"):
         list(divisor_enumerate(factors, budget=2 ** 13 - 1))
     # a walk that emits nothing is bounded too: the one divisor of degree
     # 62, (x^63 - 1)/(x + 1), lies far past the first 100 subsets
