@@ -26,7 +26,7 @@ from .forge import (
     primitive_family,
 )
 from .galois import FieldSpec, RootOfUnity, build_field, nth_root, root_from_x
-from .modring import coset_closure, cyclotomic_cosets, representative_set
+from .modring import coset_closure, cyclotomic_cosets
 from .polyring import Poly, QuotientPoly, factor_xn, minimal_polynomial
 from .spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
 from .wtdist import DistanceResult, min_distance
@@ -43,5 +43,5 @@ __all__ = [
     "cyclotomic_cosets", "dft", "extend_to_bch", "factor_xn", "find_shift",
     "idft", "indicator_spectrum", "is_rational",
     "min_distance", "minimal_polynomial", "nth_root", "primitive_family",
-    "representative_set", "root_from_x",
+    "root_from_x",
 ]

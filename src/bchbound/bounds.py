@@ -86,7 +86,7 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     report = code_apparent_distance(code)
     n = code.n
     target_deg = n - report.overall
-    allowed = {a: frozenset(range(n)) - {a * i % n for i in code.defining_set}
+    allowed = {a: frozenset(range(n)) - code.images[a]
                for a in report.optimal_reps}
     for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
                                        budget=budget):

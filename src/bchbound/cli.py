@@ -38,7 +38,6 @@ from .modring import (
     coset_closure,
     cyclotomic_cosets,
     multiplicative_order,
-    representative_set,
 )
 from .polyring import Poly, factor_xn
 from .wtdist import DEFAULT_CAP, min_distance
@@ -47,7 +46,7 @@ EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_COMPUTE = 0, 1, 2, 3
 
 
 def _check_args(args):
-    """Reject a bad --n, --q or --cap before any computation starts."""
+    """Reject a bad --n, --q, --subfield or --cap before any work starts."""
     n, q = getattr(args, "n", None), getattr(args, "q", None)
     if q is not None and not (q <= MAX_FIELD_ORDER and is_prime(q)):
         raise argparse.ArgumentTypeError(
@@ -56,6 +55,9 @@ def _check_args(args):
         raise argparse.ArgumentTypeError(f"--n must lie in 1..{MAX_N}, not {n}")
     if n is not None and math.gcd(n, q) != 1:
         raise argparse.ArgumentTypeError(f"--n {n} and --q {q} must be coprime")
+    if getattr(args, "subfield", 1) < 1:
+        raise argparse.ArgumentTypeError(
+            f"--subfield must be a positive degree, not {args.subfield}")
     if getattr(args, "cap", 1) < 1:
         raise argparse.ArgumentTypeError(
             f"--cap must be a positive number of combinations, not {args.cap}")
@@ -180,20 +182,19 @@ def _build_code(args):
 
 def cmd_cosets(args):
     part = cyclotomic_cosets(args.n, args.q)
-    reps = representative_set(part)
-    order = reps.order
+    order = part.order
     payload = {
         "n": args.n,
         "q": args.q,
         "cosets": [list(c) for c in part.cosets],
         "representatives": [c[0] for c in part.cosets],
-        "a_set": sorted(reps.members),
+        "a_set": list(part.a_set),
         "order": order,
     }
     lines = [f"{len(part.cosets)} cosets mod {args.n} under multiplication "
              f"by {args.q} (ord = {order})"]
     lines += [f"  C({c[0]}) = {{{', '.join(map(str, c))}}}" for c in part.cosets]
-    lines.append(f"A({args.n}) = {{{', '.join(map(str, sorted(reps.members)))}}}")
+    lines.append(f"A({args.n}) = {{{', '.join(map(str, part.a_set))}}}")
     _emit(args, payload, lines)
     return EXIT_OK
 

@@ -1,32 +1,40 @@
 """Cyclic-code model: defining sets, generators, idempotents, BCH windows.
 
-A CyclicCode is immutable, so instances can be shared freely.  Its generator
-(the product over GF(p) of its cosets' minimal polynomials) and idempotent
-are built with it; the runs of each a*D, which give the BCH bound and the
-Bose distance, are scanned once, on first use.
+A CyclicCode is its root and its defining set, checked when it is made and
+immutable, so instances can be shared freely.  Its other parts (the
+generator, the idempotent, the images a*D and their runs, which give the
+BCH bound and the Bose distance) are derived once, on first use.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
 from .galois import RootOfUnity, _polmul
-from .modring import (coset_closure, cyclic_runs, cyclotomic_cosets,
-                      is_coset_closed, representative_set)
+from .modring import coset_closure, cyclic_runs, cyclotomic_cosets, is_coset_closed
 from .polyring import Poly, QuotientPoly, minimal_polynomial
 from .spectral import dft, idft, indicator_spectrum
 
 
 @dataclass(frozen=True)
 class CyclicCode:
-    """A cyclic code of length n over GF(q), fixed by its defining set."""
+    """A cyclic code of length n over GF(q), fixed by its defining set.
+
+    NotCosetClosed unless the defining set is a union of q-cosets with
+    every member in [0, n); ImproperCode when it is all of Z_n.
+    """
 
     root: RootOfUnity
     defining_set: frozenset
-    generator: Poly = field(compare=False)
-    idempotent: QuotientPoly = field(compare=False)
+
+    def __post_init__(self):
+        d, n, q = self.defining_set, self.n, self.q
+        if {i % n for i in d} != d or not is_coset_closed(d, n, q):
+            raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
+        if len(d) == n:
+            raise ImproperCode("defining set is all of Z_n")
 
     @property
     def n(self):
@@ -48,13 +56,35 @@ class CyclicCode:
         return frozenset(range(self.n)) - self.defining_set
 
     @functools.cached_property
-    def runs(self) -> dict:
-        """{a: cyclic_runs(a*D)} for each a in A(n), scanned once: the root
-        change alpha -> beta with beta^a = alpha maps D to a*D."""
+    def generator(self) -> Poly:
+        """The product of the minimal polynomials of D's cosets; they lie in
+        GF(p)[x], so they are multiplied as integers mod p."""
+        coeffs = [1]
+        for coset in cyclotomic_cosets(self.n, self.q).cosets:
+            if coset[0] in self.defining_set:
+                factor = minimal_polynomial(self.root, coset[0])
+                coeffs = _polmul(coeffs, factor.coeffs, self.q)
+        return Poly(self.spec, coeffs)
+
+    @functools.cached_property
+    def idempotent(self) -> QuotientPoly:
+        """The generating idempotent: the inverse transform of D's indicator."""
+        e = idft(indicator_spectrum(self.defining_set, self.root))
+        e.int_coeffs()  # the idempotent must land in the base field
+        return e
+
+    @functools.cached_property
+    def images(self) -> dict:
+        """{a: a*D} for each a in A(n): the root change alpha -> beta with
+        beta^a = alpha maps D to a*D."""
         n = self.n
-        reps = representative_set(cyclotomic_cosets(n, self.q)).members
-        return {a: cyclic_runs({a * i % n for i in self.defining_set}, n)
-                for a in reps}
+        return {a: frozenset({a * i % n for i in self.defining_set})
+                for a in cyclotomic_cosets(n, self.q).a_set}
+
+    @functools.cached_property
+    def runs(self) -> dict:
+        """{a: cyclic_runs(a*D)} for each a in A(n), scanned once."""
+        return {a: cyclic_runs(d_a, self.n) for a, d_a in self.images.items()}
 
     @functools.cached_property
     def bch_bound(self) -> int:
@@ -86,24 +116,12 @@ class BchSpec:
 
 
 def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCode:
-    """Build the code with D_alpha(C) = d_set, caching generator and idempotent;
-    RootMismatch unless (n, q) = (root.n, root.spec.p)."""
+    """The code with D_alpha(C) = d_set mod n; RootMismatch unless
+    (n, q) = (root.n, root.spec.p)."""
     if (n, q) != (root.n, root.spec.p):
         raise RootMismatch(f"n = {n}, q = {q}, but the root has order "
                            f"{root.n} over GF({root.spec.p})")
-    d = frozenset(i % n for i in d_set)
-    if not is_coset_closed(d, n, q):
-        raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
-    if len(d) == n:
-        raise ImproperCode("defining set is all of Z_n")
-    coeffs = [1]  # minimal polynomials lie in GF(p)[x]: multiply as integers
-    for coset in cyclotomic_cosets(n, q).cosets:
-        if coset[0] in d:
-            factor = minimal_polynomial(root, coset[0])
-            coeffs = _polmul(coeffs, factor.coeffs, q)
-    e = idft(indicator_spectrum(d, root))
-    e.int_coeffs()  # the idempotent must land in the base field
-    return CyclicCode(root, d, Poly(root.spec, coeffs), e)
+    return CyclicCode(root, frozenset(i % n for i in d_set))
 
 
 def bch_code(root: RootOfUnity, delta: int, b: int) -> BchSpec:
@@ -128,10 +146,7 @@ def bose_distance(code: CyclicCode):
     as many cosets as D has (multiplying by a maps cosets onto cosets).
     """
     n = code.n
-    label = [0] * n
-    for index, coset in enumerate(cyclotomic_cosets(n, code.q).cosets):
-        for i in coset:
-            label[i] = index
+    label = cyclotomic_cosets(n, code.q).label
     wanted = len({label[i] for i in code.defining_set})
     best = None
     for runs in code.runs.values():

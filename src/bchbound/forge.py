@@ -17,7 +17,6 @@ from .galois import RootOfUnity, build_field, nth_root
 from .modring import (
     coset_closure,
     cyclotomic_cosets,
-    representative_set,
     solve_linear_congruence,
     totient,
 )
@@ -139,9 +138,8 @@ def primitive_family(m: int, root: RootOfUnity | None = None):
     if (root.n, root.spec.p) != (n, 2):
         raise RootMismatch(f"m = {m} needs a root of order {n} over GF(2), "
                            f"not {root.n} over GF({root.spec.p})")
-    reps = representative_set(cyclotomic_cosets(n, 2)).members
     records = []
-    for a in reps:
+    for a in cyclotomic_cosets(n, 2).a_set:
         h = minimal_polynomial(root, a)
         rec = congruence_construct(h, a, root)
         if rec is None:  # guaranteed by primitivity of alpha

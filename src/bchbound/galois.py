@@ -213,7 +213,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "m", "modulus", "order", "_mod_mask", "_generator_val",
-                 "x_is_primitive", "_inv_cache", "_exp", "_log", "_zech")
+                 "x_is_primitive", "_exp", "_log", "_zech")
 
     def __init__(self, p: int, m: int, modulus):
         _check_characteristic(p)
@@ -237,7 +237,6 @@ class FieldSpec:
         else:
             self._mod_mask = None
         self._generator_val = None
-        self._inv_cache = {}
         self._exp = self._log = self._zech = None
         self.x_is_primitive = _x_has_order(
             p, self._mod_mask or modulus, self.order - 1,
@@ -362,14 +361,11 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
+        if a < self.p:  # a constant of GF(p)
+            return pow(a, -1, self.p)
         if self._log is not None:
             return self._exp[self.order - 1 - self._log[a]]
-        cached = self._inv_cache.get(a)
-        if cached is None:
-            cached = self.power(a, self.order - 2)
-            if len(self._inv_cache) < 4096:
-                self._inv_cache[a] = cached
-        return cached
+        return self.power(a, self.order - 2)
 
     def _has_order(self, v: int, n: int) -> bool:
         """True iff the packed value v is a unit of order exactly n."""

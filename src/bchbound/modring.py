@@ -1,4 +1,4 @@
-"""Arithmetic in Z_n: q-cyclotomic cosets, representative sets, orders.
+"""Arithmetic in Z_n: q-cyclotomic cosets, their labels, A(n), orders.
 
 All values are immutable after construction and safe to share.
 """
@@ -27,18 +27,23 @@ class CosetPartition:
     def representatives(self):
         return tuple(c[0] for c in self.cosets)
 
+    @functools.cached_property
+    def label(self) -> tuple:
+        """label[i] = the index in cosets of the coset holding i."""
+        label = [0] * self.n
+        for index, coset in enumerate(self.cosets):
+            for i in coset:
+                label[i] = index
+        return tuple(label)
 
-@dataclass(frozen=True)
-class RepresentativeSet:
-    """A(n): coset representatives coprime to n, plus the shared coset size."""
-
-    n: int
-    q: int
-    members: tuple
+    @functools.cached_property
+    def a_set(self) -> tuple:
+        """A(n): the representatives coprime to n."""
+        return tuple(r for r in self.representatives if math.gcd(r, self.n) == 1)
 
     @property
     def order(self):
-        """ord_n(q) = |C_q(a)| for every member."""
+        """ord_n(q) = |C_q(a)| for every a in A(n)."""
         return multiplicative_order(self.q, self.n)
 
 
@@ -52,36 +57,25 @@ def _check(n: int, q: int):
 
 
 def cyclotomic_coset(a: int, n: int, q: int) -> tuple:
-    """The orbit of a under multiplication by q modulo n, sorted.
-
-    NotCoprime unless gcd(n, q) = 1, where the orbit need not return to a.
-    """
-    _check(n, q)
-    return _orbit(a % n, n, q)
-
-
-def _orbit(a: int, n: int, q: int) -> tuple:
-    """cyclotomic_coset of a in [0, n) for a pair (n, q) already checked."""
-    out = {a}
-    b = a * q % n
-    while b != a:
-        out.add(b)
-        b = b * q % n
-    return tuple(sorted(out))
+    """The sorted orbit of a under i -> q*i mod n; NotCoprime unless gcd(n, q) = 1."""
+    part = cyclotomic_cosets(n, q)
+    return part.cosets[part.label[a % n]]
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_cosets(n: int, q: int) -> CosetPartition:
     """Full partition of Z_n into q-cyclotomic cosets; built once per (n, q)."""
     _check(n, q)
-    seen = set()
+    seen = [False] * n
     cosets = []
     for a in range(n):
-        if a in seen:
-            continue
-        c = _orbit(a, n, q)
-        seen.update(c)
-        cosets.append(c)
+        b, orbit = a, []
+        while not seen[b]:
+            seen[b] = True
+            orbit.append(b)
+            b = b * q % n
+        if orbit:
+            cosets.append(tuple(sorted(orbit)))
     return CosetPartition(n, q, tuple(cosets))
 
 
@@ -111,19 +105,12 @@ def totient(n: int) -> int:
     return result
 
 
-def representative_set(partition: CosetPartition) -> RepresentativeSet:
-    """A(n): minima of the cosets whose elements are coprime to n."""
-    n, q = partition.n, partition.q
-    members = tuple(r for r in partition.representatives if math.gcd(r, n) == 1)
-    return RepresentativeSet(n, q, members)
-
-
 def coset_closure(indices, n: int, q: int) -> frozenset:
     """The smallest union of q-cyclotomic cosets containing the indices mod n."""
-    _check(n, q)
+    part = cyclotomic_cosets(n, q)
     out = set()
-    for a in indices:
-        out.update(_orbit(a % n, n, q))
+    for index in {part.label[a % n] for a in indices}:
+        out.update(part.cosets[index])
     return frozenset(out)
 
 

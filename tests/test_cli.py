@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -157,8 +158,8 @@ def test_mindist_computes_the_bch_bound_once(capsys, monkeypatch):
     assert calls["bound"] == 1
     # one scan of a*D for each a in A(127), shared by the bound, the Bose
     # distance and the search's starting bound
-    a_set = modring.representative_set(modring.cyclotomic_cosets(127, 2))
-    assert calls["runs"] == len(a_set.members) == 18
+    a_set = modring.cyclotomic_cosets(127, 2).a_set
+    assert calls["runs"] == len(a_set) == 18
 
 
 def test_mindist_cap_reports_both_bounds(capsys):
@@ -217,6 +218,40 @@ def test_reproduce_all_tables(capsys):
         code, out, _ = run_cli(capsys, "reproduce", table)
         assert code == 0, f"{table} mismatched:\n{out}"
         assert "0 mismatch(es)" in out
+
+
+def _bump_distance(rows, index):
+    out = list(rows)
+    out[index] = dataclasses.replace(rows[index],
+                                     min_distance=rows[index].min_distance + 1)
+    return out
+
+
+_GOLDEN_SMALL = tables.golden_rows("small-codes")
+_FIRST_DUP = next(i for i, row in enumerate(_GOLDEN_SMALL) if row.flag == "dup")
+
+
+@pytest.mark.parametrize("fresh,exit_code,fails,lines", [
+    (_bump_distance(_GOLDEN_SMALL, 0), cli.EXIT_MISMATCH, 1,
+     [f"row  1: FAIL d: golden {_GOLDEN_SMALL[0].min_distance} vs recomputed "
+      f"{_GOLDEN_SMALL[0].min_distance + 1}",
+      "small-codes: 59 rows, 1 mismatch(es)"]),
+    # a row that repeats an earlier source row only informs
+    (_bump_distance(_GOLDEN_SMALL, _FIRST_DUP), cli.EXIT_OK, 0,
+     [f"row {_FIRST_DUP + 1:2d}: info (duplicated source row) d:",
+      "small-codes: 59 rows, 0 mismatch(es)"]),
+    (_GOLDEN_SMALL[:-1], cli.EXIT_MISMATCH, 0,
+     ["row count differs: golden 59, recomputed 58",
+      "small-codes: 59 rows, 1 mismatch(es)"]),
+], ids=["changed-row", "changed-dup-row", "dropped-row"])
+def test_reproduce_mismatch_is_exit_1(capsys, monkeypatch, fresh, exit_code,
+                                      fails, lines):
+    # exit 1 means a reproduction mismatch and nothing else
+    monkeypatch.setattr(tables, "recompute", lambda table: fresh)
+    code, out, _ = run_cli(capsys, "reproduce", "small-codes")
+    assert code == exit_code
+    assert out.count("FAIL") == fails
+    assert all(line in out for line in lines)
 
 
 def test_reproduce_emit_csv_matches_golden(capsys):
@@ -298,6 +333,10 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
      "--field-poly gives x^1 two coefficients"),
     (["factor", "--n", "13", "--q", "3", "--field-poly", "3:,0"],
      "bad field polynomial"),
+    (["factor", "--n", "15", "--q", "2", "--subfield", "0"],
+     "--subfield must be a positive degree, not 0"),
+    (["factor", "--n", "15", "--q", "2", "--field-poly", "4,1"],
+     "field polynomial needs a constant term (exponent 0)"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -307,7 +346,7 @@ def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv,error", [
-    (["factor", "--n", "15", "--q", "2", "--subfield", "0"], "InvalidSubfield"),
+    (["factor", "--n", "15", "--q", "2", "--subfield", "3"], "InvalidSubfield"),
     (["mindist", "--n", "65536", "--q", "3", "--defining-set", "1"],
      "NoDefaultPolynomial"),  # GF(3^16384) is past the field-size cap
 ])

@@ -12,6 +12,7 @@ import bchbound
 from bchbound.bounds import certify_equality, code_apparent_distance
 from bchbound.cli import _code_record, _poly_exponents
 from bchbound.codes import (
+    CyclicCode,
     bch_code,
     bose_distance,
     code_from_defining_set,
@@ -23,10 +24,8 @@ from bchbound.modring import (
     cyclic_runs,
     cyclotomic_cosets,
     multiplicative_order,
-    representative_set,
 )
 from bchbound.forge import ConstructionRecord, construct_from_divisor, primitive_family
-from bchbound.modring import RepresentativeSet
 from bchbound.polyring import FactorList, Poly, QuotientPoly, factor_xn
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum
 from bchbound.wtdist import DEFAULT_CAP, DistanceResult, _search, min_distance
@@ -75,6 +74,27 @@ def test_defining_set_must_be_closed(root21):
 def test_improper_code_rejected(root21):
     with pytest.raises(ImproperCode):
         code_from_defining_set(21, 2, root21, frozenset(range(21)))
+
+
+def test_code_is_checked_when_made(root15):
+    with pytest.raises(NotCosetClosed):  # C(1) = {1, 2, 4, 8}
+        CyclicCode(root15, frozenset({1}))
+    with pytest.raises(NotCosetClosed):  # 15 lies outside [0, 15)
+        CyclicCode(root15, frozenset({0, 15}))
+    with pytest.raises(ImproperCode):
+        CyclicCode(root15, frozenset(range(15)))
+    d = coset_closure([1], 15, 2)
+    assert CyclicCode(root15, d) == code_from_defining_set(15, 2, root15, d)
+
+
+def test_parts_are_derived_once(root21):
+    code = _example_code(root21)
+    assert code.generator is code.generator
+    assert code.idempotent is code.idempotent
+    assert code.images == {a: frozenset(a * i % 21 for i in code.defining_set)
+                           for a in (1, 5)}
+    assert code.runs == {a: cyclic_runs(d_a, 21)
+                         for a, d_a in code.images.items()}
 
 
 def test_zero_defining_set_gives_full_space(root21):
@@ -126,7 +146,7 @@ def _bose_distance_by_prefixes(code):
     """Reference: test the closure of every prefix of every window."""
     n, q = code.n, code.q
     best = None
-    for a in representative_set(cyclotomic_cosets(n, q)).members:
+    for a in cyclotomic_cosets(n, q).a_set:
         d_a = frozenset(a * i % n for i in code.defining_set)
         for b in range(n):
             length = 0
@@ -161,7 +181,7 @@ def _bose_distance_by_closure(code):
     with a*D itself (a window closing to a*D lies in such a run)."""
     n, q = code.n, code.q
     best = None
-    for a in representative_set(cyclotomic_cosets(n, q)).members:
+    for a in cyclotomic_cosets(n, q).a_set:
         d_a = frozenset(a * i % n for i in code.defining_set)
         for b, length in cyclic_runs(d_a, n):
             if best is not None and length < best:
@@ -211,7 +231,7 @@ def test_census_bounds_certificates_and_distances(n, q):
 def _apparent_distance_reference(code):
     """Reference: Delta(C) and the optimal a, scanning each a*D afresh."""
     n = code.n
-    reps = representative_set(cyclotomic_cosets(n, code.q)).members
+    reps = cyclotomic_cosets(n, code.q).a_set
     dstar = {}
     for a in reps:
         runs = cyclic_runs({a * i % n for i in code.defining_set}, n)
@@ -230,7 +250,7 @@ def _bose_distance_reference(code):
             label[i] = index
     wanted = len({label[i] for i in code.defining_set})
     best = None
-    for a in representative_set(partition).members:
+    for a in partition.a_set:
         d_a = frozenset(a * i % n for i in code.defining_set)
         for b, length in cyclic_runs(d_a, n):
             if best is not None and length < best:
@@ -327,7 +347,7 @@ def test_derived_values_are_properties(root21):
 
     assert names(QuotientPoly) == ["spec", "coeffs"]
     assert names(FactorList) == ["root", "subfield_degree", "factors"]
-    assert names(RepresentativeSet) == ["n", "q", "members"]
+    assert names(CyclicCode) == ["root", "defining_set"]
     assert names(DistanceResult) == ["distance", "witness", "enumerated",
                                      "lower_bound", "bch_bound"]
     assert "dimension" not in names(ConstructionRecord)
@@ -336,7 +356,7 @@ def test_derived_values_are_properties(root21):
     factors = factor_xn(21, root21)
     assert factors.root == root21
     assert QuotientPoly.from_ints(root21.spec, 21, [1]).n == 21
-    assert representative_set(cyclotomic_cosets(21, 2)).order == 6
+    assert cyclotomic_cosets(21, 2).order == 6
     code = _example_code(root21)
     res = min_distance(code)
     assert res.exhaustive and res.lower_bound == res.distance

@@ -13,7 +13,6 @@ from bchbound.modring import (
     cyclotomic_cosets,
     is_coset_closed,
     multiplicative_order,
-    representative_set,
     solve_linear_congruence,
     totient,
 )
@@ -54,18 +53,27 @@ def test_coset_refuses_a_non_coprime_pair():
 
 
 def test_representative_set_n21():
-    reps = representative_set(cyclotomic_cosets(21, 2))
-    assert sorted(reps.members) == [1, 5]
-    assert reps.order == 6
-    assert len(reps.members) * reps.order == totient(21)
+    part = cyclotomic_cosets(21, 2)
+    assert part.a_set == (1, 5)
+    assert part.order == 6
+    assert len(part.a_set) * part.order == totient(21)
 
 
 def test_representative_set_counts():
     # phi(n) / ord_n(q) representatives coprime to n
     for n, q in [(15, 2), (31, 2), (45, 2), (11, 3)]:
-        reps = representative_set(cyclotomic_cosets(n, q))
-        assert len(reps.members) * reps.order == totient(n)
-        assert all(math.gcd(a, n) == 1 for a in reps.members)
+        part = cyclotomic_cosets(n, q)
+        assert len(part.a_set) * part.order == totient(n)
+        assert all(math.gcd(a, n) == 1 for a in part.a_set)
+
+
+def test_labels_index_the_cosets():
+    for n, q in [(1, 2), (15, 2), (21, 2), (11, 3), (26, 5)]:
+        part = cyclotomic_cosets(n, q)
+        assert len(part.label) == n
+        for index, coset in enumerate(part.cosets):
+            assert all(part.label[i] == index for i in coset)
+        assert part.order == multiplicative_order(q, n)
 
 
 def test_multiplicative_order():

@@ -3,10 +3,11 @@ import functools
 import importlib.util
 import io
 import pathlib
+import sys
 
 import pytest
 
-from bchbound import galois, tables
+from bchbound import galois, polyring, spectral, tables
 from bchbound.codes import code_from_defining_set
 from bchbound.errors import UnknownTable
 from bchbound.galois import build_field, nth_root, root_from_x
@@ -80,6 +81,9 @@ def test_golden_files_regenerate_byte_for_byte():
 def test_recompute_builds_each_roots_powers_once(monkeypatch):
     galois.nth_root.cache_clear()
     galois.root_from_x.cache_clear()
+    # minimal polynomials are cached by equal roots: a warm cache would let
+    # a table build no powers at all
+    polyring.minimal_polynomial.cache_clear()
     built = collections.Counter()
     original = galois.RootOfUnity.powers.func
 
@@ -111,3 +115,20 @@ def test_roots_under_other_moduli_stay_distinct(n, m):
     generators = {code_from_defining_set(n, 2, root, d).generator.coeffs
                   for root in (fixed, default)}
     assert len(generators) == 2
+
+
+def test_coset_tables_build_no_idempotent(monkeypatch):
+    # a row needs the generator, the runs of each a*D and the distance; the
+    # idempotent (one idft per code) is built only when something reads it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = spectral.idft
+    for name, module in list(sys.modules.items()):
+        if name.startswith("bchbound") and getattr(module, "idft", None) is original:
+            monkeypatch.setattr(module, "idft", counted)
+    rows = tables.recompute("small-codes")
+    assert len(rows) == 59 and calls == []
