@@ -21,6 +21,7 @@ from .forge import (
     ConstructionRecord,
     congruence_construct,
     construct_from_divisor,
+    construct_from_quotient,
     extend_to_bch,
     find_shift,
     primitive_family,
@@ -39,7 +40,8 @@ __all__ = [
     "Poly", "QuotientPoly", "RootOfUnity", "Spectrum",
     "apparent_distance_vec", "bch_code", "bose_distance", "build_field",
     "certify_equality", "code_apparent_distance", "code_from_defining_set",
-    "congruence_construct", "construct_from_divisor", "coset_closure",
+    "congruence_construct", "construct_from_divisor",
+    "construct_from_quotient", "coset_closure",
     "cyclotomic_cosets", "dft", "extend_to_bch", "factor_xn", "find_shift",
     "idft", "indicator_spectrum", "is_rational",
     "min_distance", "minimal_polynomial", "nth_root", "primitive_family",

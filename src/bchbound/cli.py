@@ -19,9 +19,8 @@ from .codes import bose_distance, code_from_defining_set
 from .errors import BchboundError
 from .forge import (
     congruence_construct,
-    construct_from_divisor,
+    construct_from_quotient,
     extend_to_bch,
-    find_shift,
     primitive_family,
     record_for_bch,
 )
@@ -285,31 +284,25 @@ def _forge_divisor(args, root):
     if args.quotient is None:
         raise argparse.ArgumentTypeError(
             "--quotient is required for divisor and extend modes")
-    g = factors.full_product()
     removed = []
     for rep in args.quotient:
         f = factors.factor_for_coset_rep(rep)
-        if f in removed:  # g would not divide x^n - 1
+        if f in removed:  # a usage error, though quotient() divides it once
             raise argparse.ArgumentTypeError(
                 f"--quotient names the factor of C({rep % args.n}) twice")
         removed.append(f)
-        g = g // f
-    k = args.shift
-    if k is None:
-        k = find_shift(g, root)
-        if k is None:
-            raise BchboundError(f"no rational shift exists for this divisor")
-    return g, k, construct_from_divisor(g, k, root)
+    return construct_from_quotient(factors, args.quotient, args.shift)
 
 
 def cmd_forge(args):
     root, field_info = _make_root(args.n, args.q, args.field_poly)
     records = []
     if args.mode == "divisor":
-        records = [_forge_divisor(args, root)[2]]
+        records = [_forge_divisor(args, root)]
     elif args.mode == "extend":
-        g, k, _ = _forge_divisor(args, root)
-        records = [record_for_bch(spec) for spec in extend_to_bch(g, k, root)]
+        rec = _forge_divisor(args, root)
+        records = [record_for_bch(spec)
+                   for spec in extend_to_bch(rec.divisor, rec.k, root)]
     elif args.mode == "congruence":
         if args.coset is None:
             raise argparse.ArgumentTypeError(

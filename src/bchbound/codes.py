@@ -23,7 +23,8 @@ class CyclicCode:
     """A cyclic code of length n over GF(q), fixed by its defining set.
 
     NotCosetClosed unless the defining set is a union of q-cosets with
-    every member in [0, n); ImproperCode when it is all of Z_n.
+    every member in [0, n); ImproperCode when it is all of Z_n; TypeError
+    unless it is a frozenset (code_from_defining_set converts).
     """
 
     root: RootOfUnity
@@ -31,6 +32,9 @@ class CyclicCode:
 
     def __post_init__(self):
         d, n, q = self.defining_set, self.n, self.q
+        if not isinstance(d, frozenset):
+            raise TypeError(f"defining set must be a frozenset, "
+                            f"not {type(d).__name__}")
         if {i % n for i in d} != d or not is_coset_closed(d, n, q):
             raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
         if len(d) == n:

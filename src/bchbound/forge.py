@@ -20,7 +20,7 @@ from .modring import (
     solve_linear_congruence,
     totient,
 )
-from .polyring import Poly, QuotientPoly, factor_xn, minimal_polynomial
+from .polyring import FactorList, Poly, QuotientPoly, minimal_polynomial
 from .spectral import Spectrum, idft, is_rational, shifted_spectrum
 from .wtdist import DEFAULT_CAP, min_distance
 
@@ -94,6 +94,19 @@ def find_shift(g: Poly, root: RootOfUnity):
         if is_rational(shifted_spectrum(g, k, root)):
             return k
     return None
+
+
+def construct_from_quotient(factors: FactorList, reps,
+                            k: int | None = None) -> ConstructionRecord:
+    """The divisor route for g = factors.quotient(reps) at shift k: by
+    default find_shift's, with NotRational when no shift exists."""
+    root = factors.root
+    g = factors.quotient(reps)
+    if k is None:
+        k = find_shift(g, root)
+        if k is None:
+            raise NotRational("no rational shift exists for this divisor")
+    return construct_from_divisor(g, k, root)
 
 
 def congruence_construct(h: Poly, j: int, root: RootOfUnity):

@@ -238,8 +238,9 @@ def gcd_with_xn(f: QuotientPoly) -> Poly:
     return f.to_poly().gcd(Poly.xn_minus_1(f.spec, f.n))
 
 
-def _coset_product(root: RootOfUnity, coset, d: int) -> Poly:
-    """prod over j in coset of (x - alpha^j), computed in L.
+@functools.lru_cache(maxsize=None)
+def _coset_product(root: RootOfUnity, coset: tuple, d: int) -> Poly:
+    """prod over j in coset of (x - alpha^j), computed in L once per (root, coset, d).
 
     Raises CoefficientLeak unless every coefficient lies in GF(p^d), which
     happens only on a wrong field setup.
@@ -253,12 +254,11 @@ def _coset_product(root: RootOfUnity, coset, d: int) -> Poly:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def minimal_polynomial(root: RootOfUnity, s: int) -> Poly:
     """min_q(alpha^s) = prod over the q-coset of s of (x - alpha^j), q = p.
 
-    Computed in L, once per (root, s); every coefficient is verified to lie
-    in GF(q).
+    The same object as the factor of that coset in factor_xn(n, root); every
+    coefficient is verified to lie in GF(q).
     """
     return _coset_product(root, cyclotomic_coset(s, root.n, root.spec.p), 1)
 
@@ -271,10 +271,12 @@ class FactorList:
     subfield_degree: int
     factors: tuple  # tuple of (Poly, frozenset root-exponent coset)
 
-    def full_product(self) -> Poly:
-        out = Poly.one(self.root.spec)
-        for f, _ in self.factors:
-            out = out * f
+    def quotient(self, reps) -> Poly:
+        """x^n - 1 divided by the factor of each coset that reps name; a
+        coset named twice is divided out once."""
+        out = Poly.xn_minus_1(self.root.spec, self.root.n)
+        for f in dict.fromkeys(map(self.factor_for_coset_rep, reps)):
+            out = out // f
         return out
 
     def factor_for_coset_rep(self, rep: int) -> Poly:

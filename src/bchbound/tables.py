@@ -22,10 +22,10 @@ from importlib import resources
 
 from .codes import bose_distance, code_from_defining_set
 from .errors import UnknownTable
-from .forge import construct_from_divisor, extend_to_bch, find_shift
+from .forge import construct_from_quotient, extend_to_bch
 from .galois import build_field, nth_root, root_from_x
 from .modring import coset_closure, cyclotomic_cosets, multiplicative_order
-from .polyring import Poly, factor_xn, minimal_polynomial
+from .polyring import factor_xn
 from .wtdist import min_distance
 
 TABLE_IDS = ("small-codes", "n15", "n21", "n45", "n33", "n41", "n17", "bose21")
@@ -99,59 +99,35 @@ def _recompute_coset_rows(golden):
 
 
 def _recompute_n15():
-    root = _root_for(15, 2)
-    factors = factor_xn(15, root)
-    xn1 = Poly.xn_minus_1(root.spec, 15)
-    rows = []
-    # x^15 - 1 divided by one irreducible factor at a time: the factors with
-    # defining cosets C(5), C(1), C(7) admit a rational shift, C(3) does not.
-    for rep in (5, 1, 7):
-        g = xn1 // factors.factor_for_coset_rep(rep)
-        rec = construct_from_divisor(g, find_shift(g, root), root)
-        rows.append(_row_from_code(rec.code))
-    h = (factors.factor_for_coset_rep(5) * factors.factor_for_coset_rep(1)
-         * factors.factor_for_coset_rep(3))
-    rows.append(_row_from_code(construct_from_divisor(h, 0, root).code))
-    return rows
+    # without the factor of C(5), C(1) or C(7) x^15 - 1 has a rational shift,
+    # without that of C(3) none; (0, 7) leaves m1 m3 m5
+    factors = factor_xn(15, _root_for(15, 2))
+    recs = [construct_from_quotient(factors, [rep]) for rep in (5, 1, 7)]
+    recs.append(construct_from_quotient(factors, (0, 7), 0))
+    return [_row_from_code(rec.code) for rec in recs]
 
 
 def _recompute_n21():
-    root = _root_for(21, 2)
-    factors = factor_xn(21, root)
-    xn1 = Poly.xn_minus_1(root.spec, 21)
-    rows = []
-    for rep in (7, 3, 9, 5, 1):
-        g = xn1 // factors.factor_for_coset_rep(rep)
-        rec = construct_from_divisor(g, find_shift(g, root), root)
-        rows.append(_row_from_code(rec.code))
-    h = Poly.one(root.spec)
-    for rep in (0, 3, 5, 1):
-        h = h * factors.factor_for_coset_rep(rep)
-    rec = construct_from_divisor(h, find_shift(h, root), root)
-    rows.append(_row_from_code(rec.code))
-    return rows
+    factors = factor_xn(21, _root_for(21, 2))
+    recs = [construct_from_quotient(factors, [rep]) for rep in (7, 3, 9, 5, 1)]
+    recs.append(construct_from_quotient(factors, (7, 9)))
+    return [_row_from_code(rec.code) for rec in recs]
 
 
 def _recompute_n45():
     root = _root_for(45, 2)
-    factors = factor_xn(45, root)
-    xn1 = Poly.xn_minus_1(root.spec, 45)
-    g = (xn1 // factors.factor_for_coset_rep(0)) // factors.factor_for_coset_rep(3)
-    k = find_shift(g, root)
-    rows = [_row_from_code(construct_from_divisor(g, k, root).code)]
+    rec = construct_from_quotient(factor_xn(45, root), (0, 3))
     subcode = code_from_defining_set(45, 2, root, coset_closure([1, 3, 9], 45, 2))
-    rows.append(_row_from_code(subcode))
-    rows.append(_row_from_code(extend_to_bch(g, k, root)[0].code))
-    return rows
+    return [_row_from_code(rec.code), _row_from_code(subcode),
+            _row_from_code(extend_to_bch(rec.divisor, rec.k, root)[0].code)]
 
 
 def _recompute_n33():
+    # m1 m3 m5 = x^22 + x^11 + 1 = (x^33 - 1) / (x^11 - 1)
     root = _root_for(33, 2)
-    g = (minimal_polynomial(root, 1) * minimal_polynomial(root, 3)
-         * minimal_polynomial(root, 5))
-    rows = [_row_from_code(construct_from_divisor(g, 0, root).code)]
-    rows.append(_row_from_code(extend_to_bch(g, 0, root)[0].code))
-    return rows
+    rec = construct_from_quotient(factor_xn(33, root), (0, 11), 0)
+    return [_row_from_code(rec.code),
+            _row_from_code(extend_to_bch(rec.divisor, rec.k, root)[0].code)]
 
 
 _BUILDERS = {

@@ -349,6 +349,8 @@ def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     (["factor", "--n", "15", "--q", "2", "--subfield", "3"], "InvalidSubfield"),
     (["mindist", "--n", "65536", "--q", "3", "--defining-set", "1"],
      "NoDefaultPolynomial"),  # GF(3^16384) is past the field-size cap
+    (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient", "3"],
+     "NotRational: no rational shift exists"),
 ])
 def test_unsupported_inputs_are_named_errors(capsys, argv, error):
     code, _, err = run_cli(capsys, *argv)

@@ -87,6 +87,13 @@ def test_code_is_checked_when_made(root15):
     assert CyclicCode(root15, d) == code_from_defining_set(15, 2, root15, d)
 
 
+@pytest.mark.parametrize("d", [{0}, [0]])
+def test_defining_set_must_be_a_frozenset(root15, d):
+    with pytest.raises(TypeError, match=type(d).__name__):
+        CyclicCode(root15, d)
+    assert code_from_defining_set(15, 2, root15, d).dimension == 14
+
+
 def test_parts_are_derived_once(root21):
     code = _example_code(root21)
     assert code.generator is code.generator

@@ -5,6 +5,7 @@ from bchbound.errors import NotIrreducible, NotPrimitiveLength, NotRational
 from bchbound.forge import (
     congruence_construct,
     construct_from_divisor,
+    construct_from_quotient,
     extend_to_bch,
     find_shift,
     primitive_family,
@@ -18,34 +19,36 @@ from bchbound.wtdist import min_distance
 
 
 def _quotients(root, n):
+    """The factors of x^n - 1 and {r: x^n - 1 without the factor of C(r)}."""
     factors = factor_xn(n, root)
-    xn1 = Poly.xn_minus_1(root.spec, n)
-    return factors, xn1
+    return factors, {min(c): factors.quotient([min(c)]) for _, c in factors.factors}
 
 
 def test_n15_divisor_table(root15):
-    factors, xn1 = _quotients(root15, 15)
+    factors, quot = _quotients(root15, 15)
     expected = {
         5: (1, 10, 2, {5, 10}),
         1: (1, 8, 4, {7, 11, 13, 14}),
         7: (3, 8, 4, {1, 2, 4, 8}),
     }
     for rep, (k, dim, delta, word) in expected.items():
-        g = xn1 // factors.factor_for_coset_rep(rep)
+        g = quot[rep]
         assert find_shift(g, root15) == k
         rec = construct_from_divisor(g, k, root15).verify()
         assert (rec.dimension, rec.bch_bound) == (dim, delta)
         assert rec.generator_word.support() == word
         assert rec.verified
     # the factor with coset C(3) admits no rational shift at all
-    g5 = xn1 // factors.factor_for_coset_rep(3)
+    g5 = quot[3]
     assert find_shift(g5, root15) is None
     with pytest.raises(NotRational):
         construct_from_divisor(g5, 0, root15)
+    with pytest.raises(NotRational, match="no rational shift exists"):
+        construct_from_quotient(factors, [3])
 
 
 def test_n15_product_divisor(root15):
-    factors, _ = _quotients(root15, 15)
+    factors = factor_xn(15, root15)
     h = (factors.factor_for_coset_rep(5) * factors.factor_for_coset_rep(1)
          * factors.factor_for_coset_rep(3))
     rec = construct_from_divisor(h, 0, root15).verify()
@@ -53,18 +56,43 @@ def test_n15_product_divisor(root15):
 
 
 def test_n21_divisor_table(root21):
-    factors, xn1 = _quotients(root21, 21)
+    _, quot = _quotients(root21, 21)
     expected = [(7, 1, 14, 2), (3, 0, 12, 3), (9, 3, 12, 3),
                 (5, 1, 8, 6), (1, 5, 8, 6)]
     for rep, k, dim, delta in expected:
-        g = xn1 // factors.factor_for_coset_rep(rep)
+        g = quot[rep]
         assert find_shift(g, root21) == k
         rec = construct_from_divisor(g, k, root21).verify()
         assert (rec.dimension, rec.bch_bound) == (dim, delta)
 
 
+@pytest.mark.parametrize("n,reps,kept,k", [
+    (15, (5, 1, 7), (5, 1, 3), 0),
+    (21, (7, 3, 9, 5, 1), (0, 3, 5, 1), None),
+])
+def test_construct_from_quotient_matches_hand_built_divisors(
+        request, n, reps, kept, k):
+    root = request.getfixturevalue(f"root{n}")
+    factors = factor_xn(n, root)
+    m = factors.factor_for_coset_rep
+    xn1 = Poly.xn_minus_1(root.spec, n)
+    for rep in reps:
+        g = xn1 // m(rep)
+        want = construct_from_divisor(g, find_shift(g, root), root)
+        assert construct_from_quotient(factors, [rep]) == want
+        assert construct_from_quotient(factors, [rep, rep]) == want
+        assert construct_from_quotient(factors, [rep], want.k) == want
+    # the table's last row, built as the product of the factors it keeps
+    h = Poly.one(root.spec)
+    for rep in kept:
+        h = h * m(rep)
+    left_out = [min(c) for _, c in factors.factors if min(c) not in kept]
+    want = construct_from_divisor(h, find_shift(h, root) if k is None else k, root)
+    assert construct_from_quotient(factors, left_out, k) == want
+
+
 def test_congruence_route(root15):
-    factors, _ = _quotients(root15, 15)
+    factors = factor_xn(15, root15)
     # h = x^2 + x + 1 (coset C(5)) satisfies the congruence at j = 5
     h = factors.factor_for_coset_rep(5)
     rec = congruence_construct(h, 5, root15)
@@ -102,14 +130,14 @@ def test_verify_out_of_cap_is_unverified_not_a_disproof():
 
 
 def test_extend_to_bch_n15(root15):
-    factors, xn1 = _quotients(root15, 15)
-    g3 = xn1 // factors.factor_for_coset_rep(1)
+    _, quot = _quotients(root15, 15)
+    g3 = quot[1]
     specs = extend_to_bch(g3, 1, root15)
     assert [(s.b, s.delta, s.code.dimension) for s in specs] == [(13, 4, 10)]
-    g4 = xn1 // factors.factor_for_coset_rep(7)
+    g4 = quot[7]
     specs = extend_to_bch(g4, 3, root15)
     assert [(s.b, s.delta, s.code.dimension) for s in specs] == [(0, 4, 10)]
-    g2 = xn1 // factors.factor_for_coset_rep(5)
+    g2 = quot[5]
     specs = extend_to_bch(g2, 1, root15)
     assert [(s.b, s.delta, s.code.dimension) for s in specs] == [
         (0, 2, 14), (3, 2, 11)]
@@ -135,9 +163,8 @@ def test_extend_to_bch_n33():
 
 
 def test_extension_codes_are_bch(root15):
-    factors, xn1 = _quotients(root15, 15)
-    g = xn1 // factors.factor_for_coset_rep(1)
-    for spec in extend_to_bch(g, 1, root15):
+    _, quot = _quotients(root15, 15)
+    for spec in extend_to_bch(quot[1], 1, root15):
         assert bose_distance(spec.code) >= spec.delta
 
 

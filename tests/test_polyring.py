@@ -93,11 +93,18 @@ def test_minimal_polynomial_n15(root15):
         assert zeros == set(cyclotomic_coset(rep, 15, 2))
 
 
+def _product(factors):
+    out = Poly.one(factors.root.spec)
+    for f, _ in factors.factors:
+        out = out * f
+    return out
+
+
 def test_factor_xn_product_and_degrees():
     for n, p in [(15, 2), (21, 2), (31, 2), (11, 3)]:
         root = nth_root(build_field(p, multiplicative_order(p, n)), n)
         factors = factor_xn(n, root)
-        assert factors.full_product() == Poly.xn_minus_1(root.spec, n)
+        assert _product(factors) == Poly.xn_minus_1(root.spec, n)
         for poly, coset in factors.factors:
             assert poly.degree == len(coset)
             poly.int_coeffs()  # factors over GF(p) must not leak upward
@@ -138,8 +145,29 @@ def test_shared_coset_product_matches_oracle(n, p, degrees):
 def test_coset_product_refuses_a_leaking_coefficient(root15):
     # x - alpha has a coefficient outside GF(2) but inside L = GF(2^4)
     with pytest.raises(CoefficientLeak, match="escapes GF\\(2\\^1\\)"):
-        _coset_product(root15, [1], 1)
-    assert _coset_product(root15, [1], 4).degree == 1
+        _coset_product(root15, (1,), 1)
+    assert _coset_product(root15, (1,), 4).degree == 1
+
+
+def test_minimal_polynomials_are_the_factors_of_xn(root15, root11_3):
+    for root in (root15, root11_3):
+        factors = factor_xn(root.n, root)
+        misses = _coset_product.cache_info().misses
+        for f, coset in factors.factors:
+            for r in coset:
+                assert minimal_polynomial(root, r) is f
+        assert _coset_product.cache_info().misses == misses
+
+
+def test_quotient_divides_out_each_named_coset_once(root15):
+    factors = factor_xn(15, root15)
+    xn1 = Poly.xn_minus_1(root15.spec, 15)
+    m = factors.factor_for_coset_rep
+    assert factors.quotient([]) == xn1
+    assert factors.quotient([7]) * m(7) == xn1
+    assert factors.quotient([0, 7]) == m(1) * m(3) * m(5)
+    # 2 and 16 name C(1), which is divided out once
+    assert factors.quotient([1, 2, 16]) == factors.quotient([1])
 
 
 def test_factor_xn_over_subfield(root15):
@@ -147,7 +175,7 @@ def test_factor_xn_over_subfield(root15):
     coarse = factor_xn(15, root15, subfield_degree=1)
     fine = factor_xn(15, root15, subfield_degree=2)
     assert len(fine.factors) > len(coarse.factors)
-    assert fine.full_product() == coarse.full_product()
+    assert _product(fine) == _product(coarse) == Poly.xn_minus_1(root15.spec, 15)
     assert fine.subfield_degree == 2
 
 

@@ -81,9 +81,9 @@ def test_golden_files_regenerate_byte_for_byte():
 def test_recompute_builds_each_roots_powers_once(monkeypatch):
     galois.nth_root.cache_clear()
     galois.root_from_x.cache_clear()
-    # minimal polynomials are cached by equal roots: a warm cache would let
-    # a table build no powers at all
-    polyring.minimal_polynomial.cache_clear()
+    # coset products are cached by equal roots: a warm cache would let a
+    # table build no powers at all
+    polyring._coset_product.cache_clear()
     built = collections.Counter()
     original = galois.RootOfUnity.powers.func
 
