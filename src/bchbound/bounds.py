@@ -77,31 +77,29 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     """Search for (g, k, a) certifying d(C) = Delta(C); None if none exists.
 
     Divisors g | x^n - 1 over GF(q) of degree n - Delta are scanned; for
-    each, every shift k and every optimal representative a is checked for
-    support containment in Z_n \\ a*D and base-field rationality of the
+    each, every optimal representative a and every shift k is checked for
+    a shifted support disjoint from a*D and base-field rationality of the
     shifted spectrum.  budget bounds the subsets of the factor list of
     x^n - 1 that the scan visits; BudgetExceeded is raised when it runs out
     before the scan is finished.
     """
     report = code_apparent_distance(code)
-    n = code.n
-    target_deg = n - report.overall
-    allowed = {a: frozenset(range(n)) - code.images[a]
-               for a in report.optimal_reps}
-    for g, _roots in divisor_enumerate(factor_xn(n, code.root), target_deg,
-                                       budget=budget):
-        cert = _check_divisor(code, g, allowed)
+    target_deg = code.n - report.overall
+    for g, _idxs in divisor_enumerate(factor_xn(code.n, code.root), target_deg,
+                                      budget=budget):
+        cert = _check_divisor(code, g, report.optimal_reps)
         if cert is not None:
             return cert
     return None
 
 
-def _check_divisor(code: CyclicCode, g: Poly, allowed):
+def _check_divisor(code: CyclicCode, g: Poly, reps):
     n = code.n
     supp = sorted(g.support())
-    for a in sorted(allowed):
+    for a in reps:
+        image = code.images[a]
         for k in range(n):
-            if not {(i + k) % n for i in supp} <= allowed[a]:
+            if not image.isdisjoint([(i + k) % n for i in supp]):
                 continue
             if is_rational(shifted_spectrum(g, k, code.root)):
                 return Certificate(g, k, a, code.root)

@@ -321,7 +321,7 @@ def cmd_forge(args):
         if args.n != (1 << m) - 1 or m < 2 or args.q != 2:
             raise argparse.ArgumentTypeError(
                 "primitive mode needs q = 2 and n = 2^m - 1 with m >= 2")
-        records = primitive_family(m, root)
+        records = primitive_family(root)
     if args.verify:
         records = [rec.verify() for rec in records]
     payload = {"mode": args.mode,

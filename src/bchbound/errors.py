@@ -51,7 +51,11 @@ class NotIrreducible(BchboundError):
 
 
 class NotPrimitiveLength(BchboundError):
-    """The primitive family needs n = 2^m - 1 with m >= 2."""
+    """The primitive family needs q = 2 and n = 2^m - 1 with m >= 2."""
+
+
+class NotDivisor(BchboundError):
+    """Polynomial expected to divide x^n - 1 does not."""
 
 
 class NotRational(BchboundError):

@@ -10,16 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bounds import code_apparent_distance, zero_runs
+from .bounds import zero_runs
 from .codes import BchSpec, CyclicCode, bch_code, code_from_defining_set
-from .errors import NotIrreducible, NotPrimitiveLength, NotRational, RootMismatch
-from .galois import RootOfUnity, build_field, nth_root
-from .modring import (
-    coset_closure,
-    cyclotomic_cosets,
-    solve_linear_congruence,
-    totient,
-)
+from .errors import NotDivisor, NotIrreducible, NotPrimitiveLength, NotRational
+from .galois import RootOfUnity
+from .modring import cyclotomic_cosets, solve_linear_congruence, totient
 from .polyring import FactorList, Poly, QuotientPoly, minimal_polynomial
 from .spectral import Spectrum, idft, is_rational, shifted_spectrum
 from .wtdist import DEFAULT_CAP, min_distance
@@ -69,13 +64,17 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRe
     """Corollary route: the code generated by idft of the shifted divisor.
 
     g must divide x^n - 1 over a subfield of L; the shifted coefficient
-    vector, read as a spectrum, must invert into F_q(n) (checked, not
-    assumed; NotRational otherwise).
+    vector, read as a spectrum, must invert into F_q(n).  Both are checked,
+    not assumed: NotRational or NotDivisor otherwise.
     """
     n = root.n
     s = _rational_shift(g, k, root)
     word = idft(s)
     word.int_coeffs()
+    # the word weighs n minus the number of n-th roots of unity at which g
+    # vanishes, which is n - deg g exactly when g divides x^n - 1
+    if word.weight() != n - g.degree:
+        raise NotDivisor(f"g does not divide x^{n} - 1")
     code = code_from_defining_set(n, root.spec.p, root, s.zero_set())
     assert code.contains(word)
     return ConstructionRecord("divisor", g, k % n, code,
@@ -112,15 +111,16 @@ def construct_from_quotient(factors: FactorList, reps,
 def congruence_construct(h: Poly, j: int, root: RootOfUnity):
     """Criterion route: g = (x^n - 1)/h with g(alpha^j) a suitable root power.
 
-    h must be an irreducible factor of x^n - 1 (over some subfield) and j a
-    member of its defining coset.  Returns None when the hypothesis fails:
-    g(alpha^j) is not in <alpha>, or the gcd divisibility does not hold.
+    h must be an irreducible factor of x^n - 1 (over some subfield), else
+    NotDivisor, and j a member of its defining coset.  Returns None when the
+    hypothesis fails: g(alpha^j) is not in <alpha>, or the gcd divisibility
+    does not hold.
     """
     n, q = root.n, root.spec.p
     xn1 = Poly.xn_minus_1(root.spec, n)
     quot, rem = xn1.divmod(h)
     if not rem.is_zero():
-        raise NotIrreducible("h does not divide x^n - 1")
+        raise NotDivisor(f"h does not divide x^{n} - 1")
     if h.eval(root.pow(j)) != 0:
         raise NotIrreducible(f"j={j} is not in the defining coset of h")
     g = quot
@@ -137,20 +137,17 @@ def congruence_construct(h: Poly, j: int, root: RootOfUnity):
     return replace(construct_from_divisor(g, k, root), source="congruence")
 
 
-def primitive_family(m: int, root: RootOfUnity | None = None):
-    """One record per coprime coset at primitive length n = 2^m - 1.
+def primitive_family(root: RootOfUnity):
+    """One record per coprime coset at the primitive length n = root.n.
 
     Returns exactly phi(n)/m records with pairwise distinct defining sets;
-    RootMismatch unless the root has order n over a field of characteristic 2.
+    NotPrimitiveLength unless q = 2 and n = 2^m - 1 with m >= 2.
     """
-    if m < 2:
-        raise NotPrimitiveLength(f"m must be >= 2, not {m}")
-    n = (1 << m) - 1
-    if root is None:
-        root = nth_root(build_field(2, m), n)
-    if (root.n, root.spec.p) != (n, 2):
-        raise RootMismatch(f"m = {m} needs a root of order {n} over GF(2), "
-                           f"not {root.n} over GF({root.spec.p})")
+    n = root.n
+    m = n.bit_length()
+    if root.spec.p != 2 or n != (1 << m) - 1 or m < 2:
+        raise NotPrimitiveLength(f"need q = 2 and n = 2^m - 1 with m >= 2, "
+                                 f"not n = {n} over GF({root.spec.p})")
     records = []
     for a in cyclotomic_cosets(n, 2).a_set:
         h = minimal_polynomial(root, a)
@@ -171,23 +168,20 @@ def extend_to_bch(g: Poly, k: int, root: RootOfUnity):
     run start.  The canonical window b = deg(g) + k + 1 comes first; records
     are deduplicated by defining set.
     """
-    n, q = root.n, root.spec.p
+    n = root.n
     delta = n - g.degree
     starts = zero_runs(_rational_shift(g, k, root).values, delta - 1)
     canonical = (g.degree + k + 1) % n
     starts.sort(key=lambda b: (b != canonical, b))
-    out = []
-    seen = set()
+    out = {}
     for b in starts:
-        t_set = coset_closure(range(b, b + delta - 1), n, q)
-        if t_set not in seen:  # bch_code builds the code of this same closure
-            seen.add(t_set)
-            out.append(bch_code(root, delta, b))
-    return out
+        spec = bch_code(root, delta, b)
+        out.setdefault(spec.code.defining_set, spec)
+    return list(out.values())
 
 
 def record_for_bch(spec: BchSpec) -> ConstructionRecord:
-    """Wrap an extension output with its (recomputed) claims."""
-    report = code_apparent_distance(spec.code)
+    """Wrap an extension output with its claims, read from the code."""
     return ConstructionRecord("extension", spec.code.generator, spec.b,
-                              spec.code, report.overall, spec.code.idempotent)
+                              spec.code, spec.code.bch_bound,
+                              spec.code.idempotent)

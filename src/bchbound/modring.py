@@ -92,17 +92,8 @@ def multiplicative_order(q: int, n: int) -> int:
 
 
 def totient(n: int) -> int:
-    result = n
-    d, m = 2, n
-    while d * d <= m:
-        if m % d == 0:
-            result -= result // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """phi(n): the units of Z_n, counted."""
+    return sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
 
 
 def coset_closure(indices, n: int, q: int) -> frozenset:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -287,51 +286,45 @@ class FactorList:
 
 
 def factor_xn(n: int, root: RootOfUnity, subfield_degree: int = 1) -> FactorList:
-    """Factor x^n - 1 over GF(p^d) via root-coset grouping, d | m; n = root.n."""
+    """Factor x^n - 1 over GF(p^d) via root-coset grouping, d | m; n = root.n.
+    Factors come by least root exponent, as cyclotomic_cosets lists cosets."""
     spec = root.spec
     if n != root.n:
         raise RootMismatch(f"n = {n}, but the root has order {root.n}")
     if subfield_degree < 1 or spec.m % subfield_degree != 0:
         raise InvalidSubfield(f"{subfield_degree} does not divide {spec.m}")
     qd = spec.p ** subfield_degree
-    part = cyclotomic_cosets(n, qd)
-    factors = [(_coset_product(root, coset, subfield_degree), frozenset(coset))
-               for coset in part.cosets]
-    factors.sort(key=lambda fc: min(fc[1]))
-    return FactorList(root, subfield_degree, tuple(factors))
+    factors = tuple((_coset_product(root, coset, subfield_degree), frozenset(coset))
+                    for coset in cyclotomic_cosets(n, qd).cosets)
+    return FactorList(root, subfield_degree, factors)
 
 
 def divisor_enumerate(factors: FactorList, target_degree: int | None = None,
                       budget: int | None = None):
-    """All monic divisors of x^n - 1 as subset products of the factor list.
+    """All monic divisors of x^n - 1 as subset products of the factor list,
+    each yielded with the tuple of factor indices it multiplies.
 
     Deterministic order: subsets by ascending size, then lexicographic factor
     indices.  Divisors of degree n (x^n - 1) and, given a target degree,
     divisors of any other degree are skipped.  A budget bounds the subsets
-    visited, emitted or not, counted per subset size: BudgetExceeded is
-    raised once that many are visited and more remain.
+    visited, emitted or not: BudgetExceeded is raised once that many are
+    visited and more remain.
     """
     n = factors.root.n
     degs = [f.degree for f, _ in factors.factors]
-    left = math.inf if budget is None else budget
-    for r in range(len(degs) + 1):
-        subsets = itertools.combinations(range(len(degs)), r)
-        size = math.comb(len(degs), r)
-        if size > left:
-            subsets = itertools.islice(subsets, left)
-        for idxs in subsets:
-            d = sum(degs[i] for i in idxs)
-            if d >= n:
-                continue
-            if target_degree is not None and d != target_degree:
-                continue
-            prod = Poly.one(factors.root.spec)
-            roots = set()
-            for i in idxs:
-                prod = prod * factors.factors[i][0]
-                roots.update(factors.factors[i][1])
-            yield prod, frozenset(roots)
-        if size > left:
-            raise BudgetExceeded(f"divisor budget {budget} exhausted "
-                                 f"after {budget} subsets")
-        left -= size
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(degs)), r)
+        for r in range(len(degs) + 1))
+    for idxs in itertools.islice(subsets, budget):
+        d = sum(degs[i] for i in idxs)
+        if d >= n:
+            continue
+        if target_degree is not None and d != target_degree:
+            continue
+        prod = Poly.one(factors.root.spec)
+        for i in idxs:
+            prod = prod * factors.factors[i][0]
+        yield prod, idxs
+    if next(subsets, None) is not None:
+        raise BudgetExceeded(f"divisor budget {budget} exhausted "
+                             f"after {budget} subsets")

@@ -191,9 +191,10 @@ def _digit_width(n: int, p: int) -> int:
     return 1 if p == 2 else (n * (p - 1) ** 2).bit_length()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def _cached_columns(root: RootOfUnity) -> tuple:
-    """_columns of every orbit, built once per root under the cap."""
+    """_columns of every orbit, built once per root under the cap; one
+    root's table is held at a time, so the cap bounds the process."""
     return tuple(_columns(root, _orbits(root.n, root.spec.p)))
 
 

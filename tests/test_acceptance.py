@@ -130,7 +130,7 @@ def test_criterion_7_bose_below_bound():
 def test_criterion_8_primitive_family():
     ok = True
     for m, want in [(4, 2), (5, 6)]:
-        records = primitive_family(m)
+        records = primitive_family(nth_root(build_field(2, m), (1 << m) - 1))
         ok = ok and len(records) == want
         for rec in records:
             res = _search(rec.code, DEFAULT_CAP, 0)

@@ -17,7 +17,12 @@ from bchbound.codes import (
     bose_distance,
     code_from_defining_set,
 )
-from bchbound.errors import ImproperCode, NotCosetClosed, RootMismatch
+from bchbound.errors import (
+    ImproperCode,
+    NotCosetClosed,
+    NotPrimitiveLength,
+    RootMismatch,
+)
 from bchbound.galois import build_field, nth_root
 from bchbound.modring import (
     coset_closure,
@@ -338,14 +343,16 @@ def test_restated_n_and_m_must_match_the_root(root21):
         Spectrum(15, root21, (1,) * 15)
     with pytest.raises(RootMismatch):
         Spectrum(21, root21, (1,) * 15)
-    with pytest.raises(RootMismatch):
-        primitive_family(4, root21)
-    with pytest.raises(RootMismatch):  # order 7, but over GF(3^6)
-        primitive_family(3, nth_root(build_field(3, 6), 7))
+    # primitive_family reads n and m from its root, and checks them
+    with pytest.raises(NotPrimitiveLength):
+        primitive_family(root21)
+    with pytest.raises(NotPrimitiveLength):  # order 7, but over GF(3^6)
+        primitive_family(nth_root(build_field(3, 6), 7))
     # the field of the root may be larger than GF(2^m)
-    wide = primitive_family(4, nth_root(build_field(2, 8), 15))
+    wide = primitive_family(nth_root(build_field(2, 8), 15))
     assert [(r.dimension, r.bch_bound) for r in wide] == [
-        (r.dimension, r.bch_bound) for r in primitive_family(4)]
+        (r.dimension, r.bch_bound)
+        for r in primitive_family(nth_root(build_field(2, 4), 15))]
 
 
 def test_derived_values_are_properties(root21):
@@ -359,6 +366,7 @@ def test_derived_values_are_properties(root21):
                                      "lower_bound", "bch_bound"]
     assert "dimension" not in names(ConstructionRecord)
     assert "source" not in inspect.signature(construct_from_divisor).parameters
+    assert list(inspect.signature(primitive_family).parameters) == ["root"]
     # and each reads what it used to hold
     factors = factor_xn(21, root21)
     assert factors.root == root21
@@ -368,5 +376,5 @@ def test_derived_values_are_properties(root21):
     res = min_distance(code)
     assert res.exhaustive and res.lower_bound == res.distance
     assert not _search(code, 1, 0).exhaustive
-    rec = primitive_family(4)[0]
+    rec = primitive_family(nth_root(build_field(2, 4), 15))[0]
     assert rec.dimension == rec.code.dimension == 8

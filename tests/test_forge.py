@@ -1,7 +1,7 @@
 import pytest
 
 from bchbound.codes import bose_distance
-from bchbound.errors import NotIrreducible, NotPrimitiveLength, NotRational
+from bchbound.errors import NotDivisor, NotPrimitiveLength, NotRational
 from bchbound.forge import (
     congruence_construct,
     construct_from_divisor,
@@ -106,25 +106,40 @@ def test_congruence_route(root15):
 
 def test_congruence_rejects_non_factor(root15):
     bad = Poly.from_ints(root15.spec, [1, 1, 0, 1])  # irreducible, not | x^15-1
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(NotDivisor):
         congruence_construct(bad, 1, root15)
+
+
+def test_divisor_route_rejects_a_non_divisor(root15):
+    # x + x^2 + x^4 + x^8 is the trace map: rational at k = 0, but x divides
+    # it, so it does not divide x^15 - 1 and n - deg g = 7 is no bound
+    g = Poly.from_ints(root15.spec, [0, 1, 1, 0, 1, 0, 0, 0, 1])
+    assert find_shift(g, root15) == 0
+    with pytest.raises(NotDivisor):
+        construct_from_divisor(g, 0, root15)
+
+
+def _primitive_root(m):
+    return nth_root(build_field(2, m), (1 << m) - 1)
 
 
 def test_primitive_family_counts():
     for m, want in [(2, 1), (4, 2), (5, 6)]:
-        records = primitive_family(m)
+        records = primitive_family(_primitive_root(m))
         n = (1 << m) - 1
         assert len(records) == want == totient(n) // m
         for rec in records:
             assert rec.bch_bound == n - rec.divisor.degree
             assert rec.verify().verified
-    for m in (1, 0):
+    # n = 1 = 2^1 - 1 has m < 2, and n = 5 is no 2^m - 1
+    for root in (_primitive_root(1), nth_root(build_field(2, 4), 5)):
         with pytest.raises(NotPrimitiveLength):
-            primitive_family(m)
+            primitive_family(root)
 
 
 def test_verify_out_of_cap_is_unverified_not_a_disproof():
-    rec = primitive_family(5)[1]  # its first message weighs 9, Delta = 5
+    # its first message weighs 9, Delta = 5
+    rec = primitive_family(_primitive_root(5))[1]
     assert rec.verify(cap=1).verified is False
     assert rec.verify().verified
 

@@ -185,12 +185,23 @@ def test_divisor_enumerate_counts(root15):
     # proper divisors: every subset of the 5 factors except the full product
     assert len(all_divisors) == 2 ** 5 - 1
     deg8 = list(divisor_enumerate(factors, target_degree=8))
-    for poly, roots in deg8:
+    for poly, _ in deg8:
         assert poly.degree == 8
         rem = Poly.xn_minus_1(root15.spec, 15).divmod(poly)[1]
         assert rem.is_zero()
     with pytest.raises(BudgetExceeded, match="budget 3 exhausted after 3 subsets"):
         list(divisor_enumerate(factors, budget=3))
+
+
+def test_divisor_enumerate_yields_factor_indices(root15, root21):
+    for root in (root15, root21):
+        factors = factor_xn(root.n, root)
+        for g, idxs in divisor_enumerate(factors):
+            assert isinstance(idxs, tuple)
+            prod = Poly.one(root.spec)
+            for i in idxs:
+                prod = prod * factors.factors[i][0]
+            assert prod == g
 
 
 def test_divisor_budget_counts_subsets_visited():

@@ -287,6 +287,16 @@ def test_columns_under_the_cap_are_built_once(monkeypatch):
     assert sum(c.bit_length() for c in table) <= 255 * orbits * 8
 
 
+def test_one_column_table_is_held_per_process():
+    rng = random.Random(311)
+    for root, q in [(_root(255, 2, 8), 2), (_root(21, 2, 6), 2),
+                    (_root(11, 3, 5), 3)]:
+        coeffs = [rng.randrange(q) for _ in range(root.n)]
+        assert (spectral._table_transform(coeffs, root, 1)
+                == _reference_transform(coeffs, root, 1))
+    assert spectral._cached_columns.cache_info().currsize == 1
+
+
 def test_spectrum_str_names_root_powers(root15):
     # the spectrum of the word x is (alpha^i)_i
     s = dft(QuotientPoly.from_ints(root15.spec, 15, [0, 1]), root15)
