@@ -10,7 +10,6 @@ from .bounds import (
     code_apparent_distance,
 )
 from .codes import (
-    BchSpec,
     CyclicCode,
     bch_code,
     bose_distance,
@@ -35,7 +34,7 @@ from .wtdist import DistanceResult, min_distance
 __version__ = "1.0.0"
 
 __all__ = [
-    "ApparentDistanceReport", "BchSpec", "BchboundError", "Certificate",
+    "ApparentDistanceReport", "BchboundError", "Certificate",
     "ConstructionRecord", "CyclicCode", "DistanceResult", "FieldSpec",
     "Poly", "QuotientPoly", "RootOfUnity", "Spectrum",
     "apparent_distance_vec", "bch_code", "bose_distance", "build_field",

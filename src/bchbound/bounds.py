@@ -21,20 +21,13 @@ from .spectral import Spectrum, is_rational, shifted_spectrum
 DEFAULT_DIVISOR_BUDGET = 10 ** 6
 
 
-def _zero_runs(coeffs):
-    return cyclic_runs((i for i, c in enumerate(coeffs) if not c), len(coeffs))
-
-
 def apparent_distance_vec(coeffs) -> int:
     """Longest cyclic run of zeros plus one; 0 for the zero vector."""
     if not any(coeffs):
         return 0
-    return max((length for _, length in _zero_runs(coeffs)), default=0) + 1
-
-
-def zero_runs(coeffs, length: int):
-    """Start indices of maximal cyclic zero-runs of exactly the given length."""
-    return [b for b, run in _zero_runs(coeffs) if run == length]
+    zeros = (i for i, c in enumerate(coeffs) if not c)
+    return max((length for _, length in cyclic_runs(zeros, len(coeffs))),
+               default=0) + 1
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .forge import (
     construct_from_quotient,
     extend_to_bch,
     primitive_family,
-    record_for_bch,
 )
 from .galois import (
     MAX_FIELD_ORDER,
@@ -145,6 +144,13 @@ def _parse_defining_set(text, n, q):
     if text.startswith("coset:"):
         return coset_closure(members, n, q)
     return frozenset(members)
+
+
+def _parse_coset_list(text):
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad coset list {text!r}")
 
 
 def _emit(args, payload, text_lines):
@@ -300,19 +306,19 @@ def cmd_forge(args):
     if args.mode == "divisor":
         records = [_forge_divisor(args, root)]
     elif args.mode == "extend":
-        rec = _forge_divisor(args, root)
-        records = [record_for_bch(spec)
-                   for spec in extend_to_bch(rec.divisor, rec.k, root)]
+        records = extend_to_bch(_forge_divisor(args, root))
     elif args.mode == "congruence":
         if args.coset is None:
             raise argparse.ArgumentTypeError(
                 "--coset is required for congruence mode")
         factors = factor_xn(args.n, root, subfield_degree=args.subfield)
-        h, coset = next((f, c) for f, c in factors.factors
-                        if args.coset % args.n in c)
+        coset = next(c for _, c in factors.factors if args.coset % args.n in c)
+        if args.j is not None and args.j % args.n not in coset:
+            raise argparse.ArgumentTypeError(
+                f"--j {args.j} is not in the coset of --coset {args.coset}")
         members = [args.j] if args.j is not None else sorted(coset)
         for j in members:
-            rec = congruence_construct(h, j, root)
+            rec = congruence_construct(factors, j)
             if rec is not None:
                 records.append(rec)
                 break
@@ -443,7 +449,7 @@ def build_parser():
     sub.add_argument("--mode", required=True,
                      choices=("divisor", "congruence", "primitive", "extend"))
     sub.add_argument("--subfield", type=int, default=1)
-    sub.add_argument("--quotient", type=lambda t: [int(x) for x in t.split(",")],
+    sub.add_argument("--quotient", type=_parse_coset_list,
                      default=None,
                      help="coset reps of the factors removed from x^n - 1")
     sub.add_argument("--shift", type=int, default=None,

@@ -102,23 +102,6 @@ class CyclicCode:
         return all(values[i] == 0 for i in self.defining_set)
 
 
-@dataclass(frozen=True)
-class BchSpec:
-    """A BCH code B_q(alpha, delta, b) together with its window parameters."""
-
-    delta: int
-    b: int
-    code: CyclicCode
-
-    @property
-    def root(self):
-        return self.code.root
-
-    def window(self):
-        n = self.code.n
-        return tuple((self.b + j) % n for j in range(self.delta - 1))
-
-
 def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCode:
     """The code with D_alpha(C) = d_set mod n; RootMismatch unless
     (n, q) = (root.n, root.spec.p)."""
@@ -128,14 +111,13 @@ def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCo
     return CyclicCode(root, frozenset(i % n for i in d_set))
 
 
-def bch_code(root: RootOfUnity, delta: int, b: int) -> BchSpec:
+def bch_code(root: RootOfUnity, delta: int, b: int) -> CyclicCode:
     """B_q(alpha, delta, b): closure of the window {b, ..., b + delta - 2}."""
     n, q = root.n, root.spec.p
     if not 2 <= delta <= n:
         raise ValueError("designed distance must satisfy 2 <= delta <= n")
-    d = coset_closure(range(b, b + delta - 1), n, q)
-    code = code_from_defining_set(n, q, root, d)
-    return BchSpec(delta, b % n, code)
+    return code_from_defining_set(n, q, root,
+                                  coset_closure(range(b, b + delta - 1), n, q))
 
 
 def bose_distance(code: CyclicCode):

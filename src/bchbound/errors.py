@@ -46,10 +46,6 @@ class ImproperCode(BchboundError):
     """Defining set is all of Z_n; the zero code is not modeled."""
 
 
-class NotIrreducible(BchboundError):
-    """Polynomial expected to be irreducible is not."""
-
-
 class NotPrimitiveLength(BchboundError):
     """The primitive family needs q = 2 and n = 2^m - 1 with m >= 2."""
 

@@ -2,7 +2,7 @@
 
 Four routes: shifted-divisor codes, the congruence criterion for factors of
 x^n - 1, the primitive-length binary family, and the dimensional extension
-of a divisor certificate into BCH codes.
+of a construction record into BCH codes.
 """
 
 from __future__ import annotations
@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .bounds import zero_runs
-from .codes import BchSpec, CyclicCode, bch_code, code_from_defining_set
-from .errors import NotDivisor, NotIrreducible, NotPrimitiveLength, NotRational
+from .codes import CyclicCode, bch_code, code_from_defining_set
+from .errors import NotDivisor, NotPrimitiveLength, NotRational
 from .galois import RootOfUnity
-from .modring import cyclotomic_cosets, solve_linear_congruence, totient
-from .polyring import FactorList, Poly, QuotientPoly, minimal_polynomial
-from .spectral import Spectrum, idft, is_rational, shifted_spectrum
+from .modring import cyclic_runs, cyclotomic_cosets, solve_linear_congruence, totient
+from .polyring import FactorList, Poly, QuotientPoly, factor_xn
+from .spectral import idft, is_rational, shifted_spectrum
 from .wtdist import DEFAULT_CAP, min_distance
 
 
@@ -51,15 +50,6 @@ class ConstructionRecord:
         return replace(self, verified=res.distance == self.bch_bound)
 
 
-def _rational_shift(g: Poly, k: int, root: RootOfUnity) -> Spectrum:
-    """x^k * g read as a spectrum; NotRational unless it inverts into F_q(n)."""
-    s = shifted_spectrum(g, k, root)
-    if not is_rational(s):
-        raise NotRational(f"shift k={k} leaves spectrum values outside "
-                          f"GF({root.spec.p})")
-    return s
-
-
 def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRecord:
     """Corollary route: the code generated by idft of the shifted divisor.
 
@@ -68,7 +58,10 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRe
     not assumed: NotRational or NotDivisor otherwise.
     """
     n = root.n
-    s = _rational_shift(g, k, root)
+    s = shifted_spectrum(g, k, root)
+    if not is_rational(s):
+        raise NotRational(f"shift k={k} leaves spectrum values outside "
+                          f"GF({root.spec.p})")
     word = idft(s)
     word.int_coeffs()
     # the word weighs n minus the number of n-th roots of unity at which g
@@ -108,22 +101,16 @@ def construct_from_quotient(factors: FactorList, reps,
     return construct_from_divisor(g, k, root)
 
 
-def congruence_construct(h: Poly, j: int, root: RootOfUnity):
-    """Criterion route: g = (x^n - 1)/h with g(alpha^j) a suitable root power.
+def congruence_construct(factors: FactorList, j: int):
+    """Criterion route: g = (x^n - 1)/h, h the factor of j's coset, with
+    g(alpha^j) a suitable root power.
 
-    h must be an irreducible factor of x^n - 1 (over some subfield), else
-    NotDivisor, and j a member of its defining coset.  Returns None when the
-    hypothesis fails: g(alpha^j) is not in <alpha>, or the gcd divisibility
-    does not hold.
+    Returns None when the hypothesis fails: g(alpha^j) is not in <alpha>, or
+    the gcd divisibility does not hold.
     """
+    root = factors.root
     n, q = root.n, root.spec.p
-    xn1 = Poly.xn_minus_1(root.spec, n)
-    quot, rem = xn1.divmod(h)
-    if not rem.is_zero():
-        raise NotDivisor(f"h does not divide x^{n} - 1")
-    if h.eval(root.pow(j)) != 0:
-        raise NotIrreducible(f"j={j} is not in the defining coset of h")
-    g = quot
+    g = factors.quotient([j])
     t = root.dlog(g.eval(root.pow(j)))
     if t is None:
         return None
@@ -148,10 +135,10 @@ def primitive_family(root: RootOfUnity):
     if root.spec.p != 2 or n != (1 << m) - 1 or m < 2:
         raise NotPrimitiveLength(f"need q = 2 and n = 2^m - 1 with m >= 2, "
                                  f"not n = {n} over GF({root.spec.p})")
+    factors = factor_xn(n, root)
     records = []
     for a in cyclotomic_cosets(n, 2).a_set:
-        h = minimal_polynomial(root, a)
-        rec = congruence_construct(h, a, root)
+        rec = congruence_construct(factors, a)
         if rec is None:  # guaranteed by primitivity of alpha
             raise AssertionError(f"congruence route failed at coset {a}")
         records.append(replace(rec, source="primitive-family"))
@@ -159,29 +146,24 @@ def primitive_family(root: RootOfUnity):
     return records
 
 
-def extend_to_bch(g: Poly, k: int, root: RootOfUnity):
-    """Dimensional extension: every BCH window the shifted divisor anchors.
+def extend_to_bch(rec: ConstructionRecord):
+    """Dimensional extension: every BCH window the record's code anchors.
 
-    For each maximal zero-run of the shifted coefficient vector achieving
-    the apparent distance, take the coset closure of that run as defining
-    set; each yields B_q(alpha, delta, b) with delta = n - deg(g) and b the
-    run start.  The canonical window b = deg(g) + k + 1 comes first; records
-    are deduplicated by defining set.
+    Each maximal run of delta - 1 members of the defining set, delta the
+    record's bound, is a window whose coset closure defines the BCH code
+    B_q(alpha, delta, b), b the run start.  The window the divisor anchors,
+    b = deg(g) + k + 1, comes first; records are deduplicated by defining
+    set.
     """
-    n = root.n
-    delta = n - g.degree
-    starts = zero_runs(_rational_shift(g, k, root).values, delta - 1)
-    canonical = (g.degree + k + 1) % n
-    starts.sort(key=lambda b: (b != canonical, b))
+    code, delta = rec.code, rec.bch_bound
+    anchored = (rec.divisor.degree + rec.k + 1) % code.n
+    starts = sorted((b for b, length in cyclic_runs(code.defining_set, code.n)
+                     if length == delta - 1), key=lambda b: (b != anchored, b))
     out = {}
     for b in starts:
-        spec = bch_code(root, delta, b)
-        out.setdefault(spec.code.defining_set, spec)
+        ext = bch_code(code.root, delta, b)
+        if ext.defining_set not in out:
+            out[ext.defining_set] = ConstructionRecord(
+                "extension", ext.generator, b, ext, ext.bch_bound,
+                ext.idempotent)
     return list(out.values())
-
-
-def record_for_bch(spec: BchSpec) -> ConstructionRecord:
-    """Wrap an extension output with its claims, read from the code."""
-    return ConstructionRecord("extension", spec.code.generator, spec.b,
-                              spec.code, spec.code.bch_bound,
-                              spec.code.idempotent)

@@ -119,7 +119,7 @@ def _recompute_n45():
     rec = construct_from_quotient(factor_xn(45, root), (0, 3))
     subcode = code_from_defining_set(45, 2, root, coset_closure([1, 3, 9], 45, 2))
     return [_row_from_code(rec.code), _row_from_code(subcode),
-            _row_from_code(extend_to_bch(rec.divisor, rec.k, root)[0].code)]
+            _row_from_code(extend_to_bch(rec)[0].code)]
 
 
 def _recompute_n33():
@@ -127,7 +127,7 @@ def _recompute_n33():
     root = _root_for(33, 2)
     rec = construct_from_quotient(factor_xn(33, root), (0, 11), 0)
     return [_row_from_code(rec.code),
-            _row_from_code(extend_to_bch(rec.divisor, rec.k, root)[0].code)]
+            _row_from_code(extend_to_bch(rec)[0].code)]
 
 
 _BUILDERS = {

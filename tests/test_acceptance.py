@@ -81,10 +81,10 @@ def test_criterion_4_n45_chain():
     sub = code_from_defining_set(45, 2, root, coset_closure([1, 3, 9], 45, 2))
     sub_ok = (sub.dimension, code_apparent_distance(sub).overall) == (25, 5) \
         and min_distance(sub).distance == 5
-    specs = {(s.b, s.delta): s for s in extend_to_bch(g, k, root)}
-    ext_ok = {(1, 5), (16, 5)} <= set(specs)
+    exts = {(e.k, e.bch_bound): e for e in extend_to_bch(rec)}
+    ext_ok = {(1, 5), (16, 5)} <= set(exts)
     for key in ((1, 5), (16, 5)):
-        code = specs[key].code
+        code = exts[key].code
         delta = code_apparent_distance(code).overall
         ext_ok = ext_ok and code.dimension == 29 and delta == 5
         res = _search(code, DEFAULT_CAP, 0)   # d proven without the bound
@@ -101,8 +101,8 @@ def test_criterion_5_n33_extension():
          * minimal_polynomial(root, 5))
     rec = construct_from_divisor(g, 0, root)
     word_ok = sorted(rec.generator_word.support()) == [0, 11, 22]
-    first = extend_to_bch(g, 0, root)[0]
-    ext_ok = (first.b, first.delta, first.code.dimension) == (31, 3, 23)
+    first = extend_to_bch(rec)[0]
+    ext_ok = (first.k, first.bch_bound, first.dimension) == (31, 3, 23)
     res = min_distance(first.code)
     _report(5, "n=33: extension B(alpha,3,31) of dim 23 generated by "
                "x^22+x^11+1, proven d = 3",

@@ -6,7 +6,6 @@ from bchbound.bounds import (
     apparent_distance_vec,
     certify_equality,
     code_apparent_distance,
-    zero_runs,
 )
 from bchbound.codes import code_from_defining_set
 from bchbound.errors import BudgetExceeded
@@ -32,13 +31,6 @@ def test_apparent_distance_vec_rotation_invariant():
         base = apparent_distance_vec(v)
         k = rng.randrange(n)
         assert apparent_distance_vec(v[k:] + v[:k]) == base
-
-
-def test_zero_runs():
-    assert zero_runs([1, 0, 0, 1, 0, 0], 2) == [1, 4]
-    assert zero_runs([0, 1, 0, 0, 1], 2) == [2]          # wrap run has length 2
-    assert zero_runs([1, 1, 1], 1) == []
-    assert zero_runs([0, 0, 0], 3) == []                  # all-zero: no maximal run
 
 
 def test_code_apparent_distance_n21(root21):

@@ -337,6 +337,13 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
      "--subfield must be a positive degree, not 0"),
     (["factor", "--n", "15", "--q", "2", "--field-poly", "4,1"],
      "field polynomial needs a constant term (exponent 0)"),
+    (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
+      "a"], "argument --quotient: bad coset list 'a'"),
+    (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
+      "5,"], "argument --quotient: bad coset list '5,'"),
+    # 5 lies in C(5) = {5, 10}, not in C(3)
+    (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
+      "3", "--j", "5"], "--j 5 is not in the coset of --coset 3"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

@@ -9,7 +9,6 @@ from bchbound.forge import (
     extend_to_bch,
     find_shift,
     primitive_family,
-    record_for_bch,
 )
 from bchbound.modring import totient
 from bchbound.galois import build_field, nth_root
@@ -94,20 +93,13 @@ def test_construct_from_quotient_matches_hand_built_divisors(
 def test_congruence_route(root15):
     factors = factor_xn(15, root15)
     # h = x^2 + x + 1 (coset C(5)) satisfies the congruence at j = 5
-    h = factors.factor_for_coset_rep(5)
-    rec = congruence_construct(h, 5, root15)
+    rec = congruence_construct(factors, 5)
     assert rec is not None
     assert rec.source == "congruence"
+    assert rec.divisor == factors.quotient([5])
     assert rec.verify().verified
     # the degree-4 factor with coset C(3) fails the divisibility condition
-    assert congruence_construct(factors.factor_for_coset_rep(3), 3,
-                                root15) is None
-
-
-def test_congruence_rejects_non_factor(root15):
-    bad = Poly.from_ints(root15.spec, [1, 1, 0, 1])  # irreducible, not | x^15-1
-    with pytest.raises(NotDivisor):
-        congruence_construct(bad, 1, root15)
+    assert congruence_construct(factors, 3) is None
 
 
 def test_divisor_route_rejects_a_non_divisor(root15):
@@ -144,18 +136,37 @@ def test_verify_out_of_cap_is_unverified_not_a_disproof():
     assert rec.verify().verified
 
 
+def _extension_summary(rec):
+    """(k, bch_bound, dimension) of each extension of rec, after checking
+    that each contains rec's code (its defining set lies inside rec's) and
+    verifies to d = its bound."""
+    exts = extend_to_bch(rec)
+    for ext in exts:
+        assert ext.source == "extension"
+        assert ext.code.defining_set <= rec.code.defining_set
+        assert ext.verify().verified
+    return [(e.k, e.bch_bound, e.dimension) for e in exts]
+
+
 def test_extend_to_bch_n15(root15):
-    _, quot = _quotients(root15, 15)
-    g3 = quot[1]
-    specs = extend_to_bch(g3, 1, root15)
-    assert [(s.b, s.delta, s.code.dimension) for s in specs] == [(13, 4, 10)]
-    g4 = quot[7]
-    specs = extend_to_bch(g4, 3, root15)
-    assert [(s.b, s.delta, s.code.dimension) for s in specs] == [(0, 4, 10)]
-    g2 = quot[5]
-    specs = extend_to_bch(g2, 1, root15)
-    assert [(s.b, s.delta, s.code.dimension) for s in specs] == [
-        (0, 2, 14), (3, 2, 11)]
+    factors = factor_xn(15, root15)
+    rec = construct_from_quotient(factors, [1])
+    assert rec.k == 1
+    assert _extension_summary(rec) == [(13, 4, 10)]
+    rec = construct_from_quotient(factors, [7], 3)
+    assert _extension_summary(rec) == [(0, 4, 10)]
+    rec = construct_from_quotient(factors, [5], 1)
+    assert _extension_summary(rec) == [(0, 2, 14), (3, 2, 11)]
+
+
+def test_extend_congruence_record(root15):
+    rec = congruence_construct(factor_xn(15, root15), 5)
+    assert _extension_summary(rec) == [(0, 2, 14), (3, 2, 11)]
+
+
+def test_extend_primitive_family_n31():
+    for rec in primitive_family(_primitive_root(5)):
+        assert _extension_summary(rec)
 
 
 def test_extend_to_bch_n33():
@@ -168,19 +179,17 @@ def test_extend_to_bch_n33():
          * minimal_polynomial(root, 5))
     base = construct_from_divisor(g, 0, root)
     assert sorted(base.generator_word.support()) == [0, 11, 22]
-    specs = extend_to_bch(g, 0, root)
-    first = specs[0]
-    assert (first.b, first.delta, first.code.dimension) == (31, 3, 23)
-    rec = record_for_bch(first)
-    assert rec.source == "extension"
+    first = extend_to_bch(base)[0]
+    assert (first.k, first.bch_bound, first.dimension) == (31, 3, 23)
+    assert first.source == "extension"
     res = min_distance(first.code)
     assert res.exhaustive and res.distance == res.bch_bound == 3
 
 
 def test_extension_codes_are_bch(root15):
-    _, quot = _quotients(root15, 15)
-    for spec in extend_to_bch(quot[1], 1, root15):
-        assert bose_distance(spec.code) >= spec.delta
+    rec = construct_from_quotient(factor_xn(15, root15), [1])
+    for ext in extend_to_bch(rec):
+        assert bose_distance(ext.code) >= ext.bch_bound
 
 
 def _find_shift_by_evaluation(g, root):

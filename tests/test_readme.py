@@ -21,5 +21,7 @@ def test_readme_python_blocks_run():
     rec = ns["rec"]
     assert (rec.k, rec.bch_bound) == (5, 6)
     assert rec.verify().verified
-    assert ns["specs"]
+    [ext] = ns["extensions"]
+    assert (ext.k, ext.bch_bound, ext.dimension) == (0, 6, 11)
+    assert ext.code.defining_set <= rec.code.defining_set
     assert len(ns["records"]) == 6

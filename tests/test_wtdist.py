@@ -247,7 +247,7 @@ def test_bch_bound_early_exit_is_consistent():
 def test_library_search_starts_from_the_bch_bound():
     # the narrow-sense [127, 106] BCH code with designed distance 7: the
     # blind search needs about 10^8 messages, from Delta = 7 about 10^2
-    code = bch_code(nth_root(build_field(2, 7), 127), 7, 1).code
+    code = bch_code(nth_root(build_field(2, 7), 127), 7, 1)
     res = min_distance(code, cap=10_000)
     assert res.exhaustive and res.distance == res.bch_bound == 7
     assert witness_in_code(code, res)
