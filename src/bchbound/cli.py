@@ -409,71 +409,89 @@ def _add_code_args(sub, defining_set=True):
     sub.add_argument("--json", action="store_true", help="emit JSON")
 
 
-def build_parser():
+_COMMANDS = ("cosets", "factor", "analyze", "mindist", "forge", "reproduce")
+
+
+def build_parser(command=None):
+    """The bchbound parser; for a known command, with only its subparser.
+
+    Every add_argument builds a help formatter, so a call that names its
+    command skips the other subparsers.  The narrowed tree names all
+    commands in its metavar, which keeps the top-level usage line that an
+    unrecognized argument prints.  The full tree parses -h and a missing or
+    unknown command, and keeps argparse's wording "command" in their errors.
+    """
     parser = argparse.ArgumentParser(
         prog="bchbound",
         description="Cyclic and BCH codes: BCH bounds, distances, and "
                     "constructions meeting the bound.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    narrowed = command in _COMMANDS
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if narrowed else {}
+    subs = parser.add_subparsers(dest="command", required=True, **metavar)
 
-    sub = subs.add_parser("cosets", help="cyclotomic cosets and A(n)")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--q", type=int, required=True)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=cmd_cosets)
+    def add(name, func, help_text):
+        if narrowed and name != command:
+            return None
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        return sub
 
-    sub = subs.add_parser("factor", help="factor x^n - 1 into minimal "
-                                         "polynomials")
-    _add_code_args(sub, defining_set=False)
-    sub.add_argument("--subfield", type=int, default=1,
-                     help="factor over GF(q^D) instead of GF(q)")
-    sub.set_defaults(func=cmd_factor)
+    if sub := add("cosets", cmd_cosets, "cyclotomic cosets and A(n)"):
+        sub.add_argument("--n", type=int, required=True)
+        sub.add_argument("--q", type=int, required=True)
+        sub.add_argument("--json", action="store_true")
 
-    sub = subs.add_parser("analyze", help="BCH bound, Bose distance, "
-                                          "optional equality certificate")
-    _add_code_args(sub)
-    sub.add_argument("--certify", action="store_true",
-                     help="search for a divisor certificate of d = bound")
-    sub.set_defaults(func=cmd_analyze)
+    if sub := add("factor", cmd_factor,
+                  "factor x^n - 1 into minimal polynomials"):
+        _add_code_args(sub, defining_set=False)
+        sub.add_argument("--subfield", type=int, default=1,
+                         help="factor over GF(q^D) instead of GF(q)")
 
-    sub = subs.add_parser("mindist", help="exact minimum distance")
-    _add_code_args(sub)
-    sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                     help="search budget in combinations (messages "
-                          "visited)")
-    sub.set_defaults(func=cmd_mindist)
+    if sub := add("analyze", cmd_analyze,
+                  "BCH bound, Bose distance, optional equality certificate"):
+        _add_code_args(sub)
+        sub.add_argument("--certify", action="store_true",
+                         help="search for a divisor certificate of d = bound")
 
-    sub = subs.add_parser("forge", help="build codes whose distance meets "
-                                        "the BCH bound")
-    _add_code_args(sub, defining_set=False)
-    sub.add_argument("--mode", required=True,
-                     choices=("divisor", "congruence", "primitive", "extend"))
-    sub.add_argument("--subfield", type=int, default=1)
-    sub.add_argument("--quotient", type=_parse_coset_list,
-                     default=None,
-                     help="coset reps of the factors removed from x^n - 1")
-    sub.add_argument("--shift", type=int, default=None,
-                     help="cyclic shift k (default: smallest rational one)")
-    sub.add_argument("--coset", type=int, default=None,
-                     help="congruence mode: coset rep of the factor h")
-    sub.add_argument("--j", type=int, default=None,
-                     help="congruence mode: evaluation exponent")
-    sub.add_argument("--verify", action="store_true",
-                     help="recheck bound and distance")
-    sub.set_defaults(func=cmd_forge)
+    if sub := add("mindist", cmd_mindist, "exact minimum distance"):
+        _add_code_args(sub)
+        sub.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                         help="search budget in combinations (messages "
+                              "visited)")
 
-    sub = subs.add_parser("reproduce", help="recompute a reference table "
-                                            "and diff it against the golden "
-                                            "copy")
-    sub.add_argument("table", choices=tables.TABLE_IDS)
-    sub.add_argument("--emit", choices=("csv", "json"), default=None,
-                     help="write the recomputed table to stdout")
-    sub.set_defaults(func=cmd_reproduce)
+    if sub := add("forge", cmd_forge,
+                  "build codes whose distance meets the BCH bound"):
+        _add_code_args(sub, defining_set=False)
+        sub.add_argument("--mode", required=True,
+                         choices=("divisor", "congruence", "primitive",
+                                  "extend"))
+        sub.add_argument("--subfield", type=int, default=1)
+        sub.add_argument("--quotient", type=_parse_coset_list,
+                         default=None,
+                         help="coset reps of the factors removed from "
+                              "x^n - 1")
+        sub.add_argument("--shift", type=int, default=None,
+                         help="cyclic shift k (default: smallest rational "
+                              "one)")
+        sub.add_argument("--coset", type=int, default=None,
+                         help="congruence mode: coset rep of the factor h")
+        sub.add_argument("--j", type=int, default=None,
+                         help="congruence mode: evaluation exponent")
+        sub.add_argument("--verify", action="store_true",
+                         help="recheck bound and distance")
+
+    if sub := add("reproduce", cmd_reproduce, "recompute a reference table "
+                  "and diff it against the golden copy"):
+        sub.add_argument("table", choices=tables.TABLE_IDS)
+        sub.add_argument("--emit", choices=("csv", "json"), default=None,
+                         help="write the recomputed table to stdout")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         _check_args(args)

@@ -146,22 +146,27 @@ def primitive_family(root: RootOfUnity):
     return records
 
 
-def extend_to_bch(rec: ConstructionRecord):
-    """Dimensional extension: every BCH window the record's code anchors.
+def bch_windows(rec: ConstructionRecord):
+    """Starts b of the BCH windows the record's code anchors.
 
     Each maximal run of delta - 1 members of the defining set, delta the
     record's bound, is a window whose coset closure defines the BCH code
     B_q(alpha, delta, b), b the run start.  The window the divisor anchors,
-    b = deg(g) + k + 1, comes first; records are deduplicated by defining
-    set.
+    b = deg(g) + k + 1, comes first, then ascending b.
     """
-    code, delta = rec.code, rec.bch_bound
+    code = rec.code
     anchored = (rec.divisor.degree + rec.k + 1) % code.n
-    starts = sorted((b for b, length in cyclic_runs(code.defining_set, code.n)
-                     if length == delta - 1), key=lambda b: (b != anchored, b))
+    return sorted((b for b, length in cyclic_runs(code.defining_set, code.n)
+                   if length == rec.bch_bound - 1),
+                  key=lambda b: (b != anchored, b))
+
+
+def extend_to_bch(rec: ConstructionRecord):
+    """Dimensional extension: a record of B_q(alpha, delta, b) for each b
+    of bch_windows(rec), in that order, deduplicated by defining set."""
     out = {}
-    for b in starts:
-        ext = bch_code(code.root, delta, b)
+    for b in bch_windows(rec):
+        ext = bch_code(rec.code.root, rec.bch_bound, b)
         if ext.defining_set not in out:
             out[ext.defining_set] = ConstructionRecord(
                 "extension", ext.generator, b, ext, ext.bch_bound,

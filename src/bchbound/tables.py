@@ -20,9 +20,9 @@ import csv
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .codes import bose_distance, code_from_defining_set
+from .codes import bch_code, bose_distance, code_from_defining_set
 from .errors import UnknownTable
-from .forge import construct_from_quotient, extend_to_bch
+from .forge import bch_windows, construct_from_quotient
 from .galois import build_field, nth_root, root_from_x
 from .modring import coset_closure, cyclotomic_cosets, multiplicative_order
 from .polyring import factor_xn
@@ -98,6 +98,12 @@ def _recompute_coset_rows(golden):
     return [replace(cache[row.key()], flag=row.flag) for row in golden]
 
 
+def _anchored_bch_code(rec):
+    """The BCH code of the window rec's divisor anchors, extend_to_bch(rec)'s
+    first, with no record built for the other windows."""
+    return bch_code(rec.code.root, rec.bch_bound, bch_windows(rec)[0])
+
+
 def _recompute_n15():
     # without the factor of C(5), C(1) or C(7) x^15 - 1 has a rational shift,
     # without that of C(3) none; (0, 7) leaves m1 m3 m5
@@ -119,7 +125,7 @@ def _recompute_n45():
     rec = construct_from_quotient(factor_xn(45, root), (0, 3))
     subcode = code_from_defining_set(45, 2, root, coset_closure([1, 3, 9], 45, 2))
     return [_row_from_code(rec.code), _row_from_code(subcode),
-            _row_from_code(extend_to_bch(rec)[0].code)]
+            _row_from_code(_anchored_bch_code(rec))]
 
 
 def _recompute_n33():
@@ -127,7 +133,7 @@ def _recompute_n33():
     root = _root_for(33, 2)
     rec = construct_from_quotient(factor_xn(33, root), (0, 11), 0)
     return [_row_from_code(rec.code),
-            _row_from_code(extend_to_bch(rec)[0].code)]
+            _row_from_code(_anchored_bch_code(rec))]
 
 
 _BUILDERS = {

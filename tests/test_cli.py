@@ -213,6 +213,68 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+_COMMANDS = ("cosets", "factor", "analyze", "mindist", "forge", "reproduce")
+
+# argv whose output is argparse's own: help text or a usage error
+_PARSER_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"],
+    *([name, "-h"] for name in _COMMANDS),
+    ["analyze", "--n", "21"],  # missing required options
+    ["reproduce"],
+    ["analyze", "--n", "21", "--q", "2", "--defining-set", "1", "--bogus"],
+    ["forge", "--n", "15", "--q", "2", "--mode", "bogus"],
+    ["reproduce", "nope"],
+    ["cosets", "--n", "x", "--q", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "no-argv")
+def test_main_prints_what_the_full_tree_prints(capsys, argv):
+    # main builds only the named command's subparser; its help and usage
+    # errors must still match the full tree's byte for byte
+    outcomes = []
+    for call in (cli.main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as excinfo:
+            call(argv)
+        outcomes.append((excinfo.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (cli.EXIT_OK, cli.EXIT_USAGE)
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice"),
+])
+def test_command_errors_name_the_command(capsys, argv, message):
+    # the narrowed tree's metavar must not leak into the full tree's errors
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_named_command_builds_only_its_subparser(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser("analyze").parse_args(["cosets", "--n", "7",
+                                                "--q", "2"])
+    assert excinfo.value.code == cli.EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_console_script_reads_sys_argv(capsys, monkeypatch):
+    # the installed bchbound entry point calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["bchbound", "cosets", "--n", "21",
+                                      "--q", "2", "--json"])
+    assert cli.main() == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["a_set"] == [1, 5]
+    monkeypatch.setattr(sys, "argv", ["bchbound"])
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main()
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert "required: command" in capsys.readouterr().err
+
+
 def test_reproduce_all_tables(capsys):
     for table in tables.TABLE_IDS:
         code, out, _ = run_cli(capsys, "reproduce", table)

@@ -4,6 +4,8 @@ Commands run in-process through ``cli.main``.  An exception other than
 SystemExit is what the ``bchbound`` command would print as a traceback, so
 it fails the test; the exit code must be 0, 2 (usage) or 3 (computation).
 The examples are derandomized, so the suite sees the same inputs each run.
+The parser of the named command alone must parse each input as the full
+parser does.
 """
 
 import contextlib
@@ -92,3 +94,23 @@ def _exit_code(argv):
                "--defining-set=coset:1"])
 def test_cli_exits_by_contract(argv):
     assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)
+
+
+def _parsed(parser, argv):
+    """The Namespace parser gives argv, or its usage error's code and text."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+@example(argv=["reproduce", "n45", "--emit=json"])
+@example(argv=["forge", "--n=15", "--q=2", "--mode=divisor", "--quotient=5",
+               "--shift=1", "--verify"])
+def test_command_parser_parses_as_the_full_tree(argv):
+    assert (_parsed(cli.build_parser(argv[0]), argv)
+            == _parsed(cli.build_parser(), argv))

@@ -3,6 +3,7 @@ import pytest
 from bchbound.codes import bose_distance
 from bchbound.errors import NotDivisor, NotPrimitiveLength, NotRational
 from bchbound.forge import (
+    bch_windows,
     congruence_construct,
     construct_from_divisor,
     construct_from_quotient,
@@ -180,6 +181,7 @@ def test_extend_to_bch_n33():
     base = construct_from_divisor(g, 0, root)
     assert sorted(base.generator_word.support()) == [0, 11, 22]
     first = extend_to_bch(base)[0]
+    assert bch_windows(base)[:2] == [31, 1]  # the anchored window first
     assert (first.k, first.bch_bound, first.dimension) == (31, 3, 23)
     assert first.source == "extension"
     res = min_distance(first.code)

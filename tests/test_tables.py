@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from bchbound import galois, polyring, spectral, tables
+from bchbound import forge, galois, polyring, spectral, tables
 from bchbound.codes import code_from_defining_set
 from bchbound.errors import UnknownTable
+from bchbound.forge import construct_from_quotient, extend_to_bch
 from bchbound.galois import build_field, nth_root, root_from_x
 from bchbound.modring import coset_closure
 
@@ -132,3 +133,24 @@ def test_coset_tables_build_no_idempotent(monkeypatch):
             monkeypatch.setattr(module, "idft", counted)
     rows = tables.recompute("small-codes")
     assert len(rows) == 59 and calls == []
+
+
+@pytest.mark.parametrize("table,reps,k", [("n45", (0, 3), None),
+                                          ("n33", (0, 11), 0)])
+def test_extension_rows_build_only_the_anchored_window(monkeypatch, table,
+                                                       reps, k):
+    # the row reads extend_to_bch(rec)[0]'s code; the other windows, and
+    # every window's generator and idempotent, are left unbuilt
+    n = int(table[1:])
+    rec = construct_from_quotient(polyring.factor_xn(n, tables._root_for(n, 2)),
+                                  reps, k)
+    extensions = extend_to_bch(rec)
+    assert len(extensions) > 1
+    assert tables._anchored_bch_code(rec) == extensions[0].code
+    built = []
+    original = tables.bch_code
+    for module in (forge, tables):
+        monkeypatch.setattr(module, "bch_code",
+                            lambda *args: built.append(args) or original(*args))
+    assert tables.recompute(table) == tables.golden_rows(table)
+    assert len(built) == 1
