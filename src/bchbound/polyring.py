@@ -2,7 +2,9 @@
 
 Everything is computed with coefficients in the big field L; base-field or
 intermediate-field polynomials are recognized through the Frobenius-fixed
-subfield test rather than by carrying separate coefficient types.
+subfield test rather than by carrying separate coefficient types.  The one
+exception is a binary minimal polynomial, which is read off a GF(2)-linear
+dependency among the packed powers of its root, with no arithmetic in L.
 """
 
 from __future__ import annotations
@@ -239,12 +241,31 @@ def gcd_with_xn(f: QuotientPoly) -> Poly:
 
 @functools.lru_cache(maxsize=None)
 def _coset_product(root: RootOfUnity, coset: tuple, d: int) -> Poly:
-    """prod over j in coset of (x - alpha^j), computed in L once per (root, coset, d).
+    """prod over j in coset of (x - alpha^j), computed once per (root, coset, d).
 
-    Raises CoefficientLeak unless every coefficient lies in GF(p^d), which
+    For p = 2 and d = 1, the minimal polynomial of beta = alpha^coset[0]:
+    the first GF(2)-linear dependency among the packed 1, beta, beta^2, ...
+    (Lidl and Niederreiter, Finite Fields, ch. 3).  Otherwise multiplied out
+    in L.  Raises CoefficientLeak unless every coefficient lies in GF(p^d)
+    (for the GF(2) path: unless coset is one cyclotomic coset), which
     happens only on a wrong field setup.
     """
     spec = root.spec
+    if spec.p == 2 and d == 1:
+        n, s = root.n, coset[0]
+        pivots = {}  # top bit -> (reduced vector, the powers it sums)
+        for i in range(len(coset) + 1):
+            v, comb = root.powers[s * i % n], 1 << i
+            while v and v.bit_length() in pivots:
+                pv, pc = pivots[v.bit_length()]
+                v, comb = v ^ pv, comb ^ pc
+            if not v:
+                break
+            pivots[v.bit_length()] = v, comb
+        # only C(s) holds s, is closed under doubling and has that size
+        if v or i < len(coset) or {2 * j % n for j in coset} != set(coset):
+            raise CoefficientLeak("factor coefficient escapes GF(2^1)")
+        return Poly(spec, [comb >> t & 1 for t in range(i + 1)])
     out = Poly.one(spec)
     for j in coset:
         out = out * Poly(spec, [spec.neg(root.pow(j)), 1])

@@ -15,7 +15,8 @@ when its lower bound meets the lightest word seen.  For q > 2 the first
 nonzero message symbol is fixed to 1, since scalar multiples have the
 same weight.
 
-Binary words are packed ints (XOR, then bit_count); odd q uses int lists.
+Binary rows and words are packed ints (rows by shift-and-XOR, words by XOR,
+weights by bit_count); odd q uses the int lists of generator_rows.
 """
 
 from __future__ import annotations
@@ -66,6 +67,20 @@ def generator_rows(code: CyclicCode):
     return rows
 
 
+def _binary_rows(code: CyclicCode):
+    """generator_rows(code) for q = 2, each row packed little-endian; rem =
+    x^(r+i) mod g steps to x * rem mod g by a shift and a XOR with g."""
+    r = code.n - code.dimension
+    g = sum(c << j for j, c in enumerate(code.generator.coeffs))
+    rem, rows = g ^ (1 << r), []  # x^r mod g: g is monic of degree r
+    for i in range(code.dimension):
+        rows.append(rem | (1 << (r + i)))
+        rem <<= 1
+        if rem >> r:
+            rem ^= g
+    return rows
+
+
 def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP) -> DistanceResult:
     """d(C) by visiting messages in order of weight until the bounds meet.
 
@@ -85,13 +100,13 @@ def _search(code: CyclicCode, cap: int, proven: int) -> DistanceResult:
         raise ValueError("dimension must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    rows = generator_rows(code)
     step = q - 1  # row i times 1, ..., q - 1 is mults[step*i:step*i + step]
     if q == 2:
-        mults = [sum(c << i for i, c in enumerate(row)) for row in rows]
+        mults = _binary_rows(code)
         zero, add, weight = 0, int.__xor__, int.bit_count
     else:
-        mults = [[c * a % q for a in row] for row in rows for c in range(1, q)]
+        mults = [[c * a % q for a in row] for row in generator_rows(code)
+                 for c in range(1, q)]
         zero = [0] * n
         add = lambda u, v: [(a + b) % q for a, b in zip(u, v)]
         weight = lambda u: n - u.count(0)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -273,6 +274,26 @@ def test_console_script_reads_sys_argv(capsys, monkeypatch):
         cli.main()
     assert excinfo.value.code == cli.EXIT_USAGE
     assert "required: command" in capsys.readouterr().err
+
+
+# (exit code, sha256 of stdout) of binary commands whose generators and
+# search rows come from the GF(2) minimal polynomials and packed rows, as
+# printed when both were still computed in L and packed symbol by symbol
+@pytest.mark.parametrize("argv,exit_code,digest", [
+    ("analyze --n 1023 --q 2 --defining-set coset:1,3,5 --json", 0,
+     "40b85786ca7397c87db24f0bb28ac93aaea61cdb3940886e7e30cf1dd6398377"),
+    ("mindist --n 41 --q 2 --defining-set coset:1 --json", 0,
+     "517a9edc27bd6eda287daecc5d2d3b61cf994a47955c2ac7360e7be3c72944a5"),
+    ("forge --n 63 --q 2 --mode primitive --verify --json", 0,
+     "a43e4d502fd0e503404f5700f2bf251a02e5822044e3a4ce102bbdf0fa8b19f1"),
+    ("reproduce n45 --emit json", 0,
+     "6bbbf0e3d796bdb1992648d5f2421a274d989eb26c3725975600ccea7b730e32"),
+    ("factor --n 255 --q 2 --json", 0,
+     "6c2e8a33012d28023b867c37cf0674fe6fe29c4c35f61e2071cd7128efa5eaa4"),
+])
+def test_binary_outputs_are_byte_identical(capsys, argv, exit_code, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, digest)
 
 
 def test_reproduce_all_tables(capsys):

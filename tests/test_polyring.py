@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bchbound import tables
 from bchbound.errors import BudgetExceeded, CoefficientLeak, ZeroPolynomial
-from bchbound.galois import build_field, nth_root
+from bchbound.galois import build_field, nth_root, root_from_x
 from bchbound.modring import (
     cyclotomic_coset,
     cyclotomic_cosets,
@@ -127,13 +130,27 @@ def _factor_xn_oracle(n, root, d):
     return tuple(factors)
 
 
-@pytest.mark.parametrize("n,p,degrees", [
-    (21, 2, (1, 2, 3, 6)),
-    (63, 2, (1, 2, 3)),
-    (13, 3, (1, 3)),
+# x^4 + x^3 + x^2 + x + 1, whose x-bar has order 5 and is not primitive
+NOT_PRIMITIVE = (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize("n,p,degrees,modulus,from_x", [
+    pytest.param(21, 2, (1, 2, 3, 6), None, False, id="21-2-degrees0"),
+    pytest.param(63, 2, (1, 2, 3), None, False, id="63-2-degrees1"),
+    pytest.param(13, 3, (1, 3), None, False, id="13-3-degrees2"),
+    pytest.param(255, 2, (1,), None, False, id="255-2"),
+    pytest.param(1023, 2, (1,), None, False, id="1023-2"),
+    pytest.param(41, 2, (1,), None, False, id="41-2-m20"),
+    pytest.param(45, 2, (1,), tables._MIN_POLY[45], True, id="45-2-table-root"),
+    pytest.param(5, 2, (1, 2), NOT_PRIMITIVE, True, id="5-2-x-bar-of-order-5"),
+    pytest.param(15, 2, (1, 2), NOT_PRIMITIVE, False, id="15-2-x-bar-of-order-5"),
 ])
-def test_shared_coset_product_matches_oracle(n, p, degrees):
-    root = nth_root(build_field(p, multiplicative_order(p, n)), n)
+def test_shared_coset_product_matches_oracle(n, p, degrees, modulus, from_x):
+    if modulus is None:
+        root = nth_root(build_field(p, multiplicative_order(p, n)), n)
+    else:
+        spec = build_field(p, len(modulus) - 1, modulus)
+        root = root_from_x(spec, n) if from_x else nth_root(spec, n)
     for d in degrees:
         want = _factor_xn_oracle(n, root, d)
         assert factor_xn(n, root, subfield_degree=d).factors == want
@@ -147,6 +164,27 @@ def test_coset_product_refuses_a_leaking_coefficient(root15):
     with pytest.raises(CoefficientLeak, match="escapes GF\\(2\\^1\\)"):
         _coset_product(root15, (1,), 1)
     assert _coset_product(root15, (1,), 4).degree == 1
+
+
+def test_binary_coset_product_refuses_a_set_that_is_no_coset(root15):
+    # four exponents, like C(1), and alpha's dependency comes at i = 4, but
+    # the set is not closed under doubling
+    with pytest.raises(CoefficientLeak, match="escapes GF\\(2\\^1\\)"):
+        _coset_product(root15, (1, 3, 5, 9), 1)
+
+
+BINARY_LENGTHS = [n for n in range(1, 302, 2) if multiplicative_order(2, n) <= 12]
+
+
+@given(st.sampled_from(BINARY_LENGTHS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_binary_minimal_polynomial_matches_the_product_loop(n, data):
+    root = nth_root(build_field(2, multiplicative_order(2, n)), n)
+    s = data.draw(st.integers(0, n - 1))
+    want = Poly.one(root.spec)
+    for j in cyclotomic_coset(s, n, 2):
+        want = want * Poly(root.spec, [root.powers[j], 1])
+    assert minimal_polynomial(root, s) == want
 
 
 def test_minimal_polynomials_are_the_factors_of_xn(root15, root11_3):

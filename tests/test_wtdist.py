@@ -17,6 +17,7 @@ from bchbound.modring import (
 )
 from bchbound.polyring import QuotientPoly
 from bchbound.wtdist import DEFAULT_CAP, _search, generator_rows, min_distance
+from test_codes import CENSUS, _closed_set_codes
 
 
 def witness_in_code(code, result):
@@ -233,6 +234,17 @@ def test_generator_rows_shape():
         for i, row in enumerate(rows):
             assert row[n - k:] == [int(j == i) for j in range(k)]
             assert code.contains(QuotientPoly.from_ints(code.spec, n, row))
+    # the packed rows the binary search walks are generator_rows, packed
+    # little-endian, on every binary census code, r = 0 and k = 1 among them
+    shapes = set()
+    for n, q in CENSUS:
+        if q == 2:
+            for code in _closed_set_codes(n, q):
+                packed = [sum(c << i for i, c in enumerate(row))
+                          for row in generator_rows(code)]
+                assert wtdist._binary_rows(code) == packed
+                shapes |= {("r", code.n - code.dimension), ("k", code.dimension)}
+    assert {("r", 0), ("k", 1)} <= shapes
 
 
 def test_bch_bound_early_exit_is_consistent():
