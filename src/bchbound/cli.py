@@ -34,6 +34,7 @@ from .galois import (
 from .modring import (
     MAX_N,
     coset_closure,
+    cyclotomic_coset,
     cyclotomic_cosets,
     multiplicative_order,
 )
@@ -68,9 +69,13 @@ def _parse_field_poly(text, q):
         for term in text.split(","):
             e, colon, c = term.partition(":")
             e, c = int(e), int(c) if colon else 1
-            if terms.setdefault(e, c) != c:
+            if e < 0:
                 raise argparse.ArgumentTypeError(
-                    f"--field-poly gives x^{e} two coefficients")
+                    f"--field-poly exponent {e} is negative")
+            if e in terms:
+                raise argparse.ArgumentTypeError(f"--field-poly gives x^{e} " + (
+                    "twice" if terms[e] == c else "two coefficients"))
+            terms[e] = c
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad field polynomial {text!r}")
     for e, c in sorted(terms.items()):
@@ -164,7 +169,7 @@ def _emit(args, payload, text_lines):
 def _code_record(code, field_info):
     """The --json record of a code."""
     report = code_apparent_distance(code)
-    rec = {
+    return {
         "n": code.n,
         "q": code.q,
         **field_info,
@@ -176,7 +181,6 @@ def _code_record(code, field_info):
         "optimal_reps": sorted(report.optimal_reps),
         "bose_distance": bose_distance(code),
     }
-    return rec
 
 
 def _build_code(args):
@@ -301,6 +305,14 @@ def _forge_divisor(args, root):
 
 
 def cmd_forge(args):
+    unread = {"congruence": "quotient shift",
+              "primitive": "coset j quotient shift"}.get(args.mode, "coset j")
+    given = [f"--{o}" for o in unread.split() if getattr(args, o) is not None]
+    if args.mode == "primitive" and args.subfield != 1:
+        given.append("--subfield")
+    if given:
+        raise argparse.ArgumentTypeError(
+            f"{given[0]} is not read in {args.mode} mode")
     root, field_info = _make_root(args.n, args.q, args.field_poly)
     records = []
     if args.mode == "divisor":
@@ -312,7 +324,7 @@ def cmd_forge(args):
             raise argparse.ArgumentTypeError(
                 "--coset is required for congruence mode")
         factors = factor_xn(args.n, root, subfield_degree=args.subfield)
-        coset = next(c for _, c in factors.factors if args.coset % args.n in c)
+        coset = cyclotomic_coset(args.coset, args.n, args.q ** args.subfield)
         if args.j is not None and args.j % args.n not in coset:
             raise argparse.ArgumentTypeError(
                 f"--j {args.j} is not in the coset of --coset {args.coset}")

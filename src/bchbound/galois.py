@@ -226,8 +226,6 @@ class FieldSpec:
         if modulus[-1] != 1:
             inv = pow(modulus[-1], -1, p)
             modulus = tuple(c * inv % p for c in modulus)
-        if m > 1 and not is_irreducible(modulus, p):
-            raise RejectedModulus(f"{modulus} is reducible over GF({p})")
         self.p = p
         self.m = m
         self.modulus = modulus
@@ -241,6 +239,9 @@ class FieldSpec:
         self.x_is_primitive = _x_has_order(
             p, self._mod_mask or modulus, self.order - 1,
             _prime_factors(self.order - 1))
+        # a primitive x-bar makes the modulus irreducible (default_modulus)
+        if m > 1 and not (self.x_is_primitive or is_irreducible(modulus, p)):
+            raise RejectedModulus(f"{modulus} is reducible over GF({p})")
         if p != 2 and self.order <= TABLE_MAX_ORDER:
             self._build_tables()
 
@@ -466,11 +467,11 @@ class RootOfUnity:
 def default_modulus(p: int, m: int):
     """The lexicographically-smallest primitive polynomial for GF(p^m).
 
-    A monic f with f(0) != 0 is primitive exactly when x has order
-    N = p^m - 1 modulo f (Lidl and Niederreiter, Finite Fields, Thm 3.16):
-    a reducible f has fewer than N units, so no irreducibility test runs.
-    A candidate with a root in GF(p) is skipped; the rest pass when
-    x^N = 1 and x^(N/r) != 1 for each prime r | N.  Cached per (p, m).
+    A monic f is primitive exactly when x has order N = p^m - 1 modulo f
+    (Lidl and Niederreiter, Finite Fields, Thm 3.16): x is no unit when
+    f(0) = 0, and a reducible f leaves fewer than N units, so no
+    irreducibility test runs.  A candidate passes when x^N = 1 and
+    x^(N/r) != 1 for each prime r | N.  Cached per (p, m).
     """
     _check_characteristic(p)
     if exceeds_field_cap(p, m):
@@ -483,19 +484,10 @@ def default_modulus(p: int, m: int):
         return ((-g) % p, 1)
     for packed in range(p ** m + 1, 2 * p ** m):
         coeffs = [packed // p ** i % p for i in range(m + 1)]
-        if any(_poly_at(coeffs, a, p) == 0 for a in range(p)):
-            continue
         # for p = 2 the base-p packing is the modulus bitmask
         if _x_has_order(p, packed if p == 2 else coeffs, n, primes):
             return tuple(coeffs)
     raise NoDefaultPolynomial(f"no primitive polynomial found for ({p}, {m})")
-
-
-def _poly_at(coeffs, a, p):
-    v = 0
-    for c in reversed(coeffs):
-        v = (v * a + c) % p
-    return v
 
 
 @functools.lru_cache(maxsize=None)

@@ -152,7 +152,14 @@ class Poly:
 
     def int_coeffs(self):
         """Coefficients as prime-field integers; CoefficientLeak otherwise."""
-        return _int_coeffs(self.spec, self.coeffs)
+        # In the polynomial basis GF(p) is exactly the packed values
+        # 0, ..., p - 1, each its own prime-field integer.
+        for c in self.coeffs:
+            if c >= self.spec.p:
+                raise CoefficientLeak(
+                    f"coefficient {poly_str(self.spec.decode(c))} outside "
+                    "the prime field")
+        return list(self.coeffs)
 
     def exponents(self):
         """Ascending exponents of the nonzero terms (CLI serialization)."""
@@ -163,16 +170,6 @@ class Poly:
             return f"Poly({poly_str(self.int_coeffs())})"
         except CoefficientLeak:
             return f"Poly(deg {self.degree} over GF({self.spec.p}^{self.spec.m}))"
-
-
-def _int_coeffs(spec: FieldSpec, coeffs) -> list:
-    # In the polynomial basis GF(p) is exactly the packed values 0, ..., p - 1,
-    # each its own prime-field integer.
-    for c in coeffs:
-        if c >= spec.p:
-            raise CoefficientLeak(
-                f"coefficient {poly_str(spec.decode(c))} outside the prime field")
-    return list(coeffs)
 
 
 @dataclass(frozen=True)
@@ -201,11 +198,8 @@ class QuotientPoly:
     def to_poly(self) -> Poly:
         return Poly(self.spec, self.coeffs)
 
-    def support(self):
-        return frozenset(i for i, c in enumerate(self.coeffs) if c)
-
-    def weight(self):
-        return sum(1 for c in self.coeffs if c)
+    # Poly's views read only spec and coeffs, so they serve a padded vector
+    support, weight, int_coeffs = Poly.support, Poly.weight, Poly.int_coeffs
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -218,10 +212,6 @@ class QuotientPoly:
     def __mul__(self, other):
         prod = self.to_poly() * other.to_poly()
         return QuotientPoly.from_poly(prod, self.n)
-
-    def int_coeffs(self):
-        """Coefficients as prime-field integers; CoefficientLeak otherwise."""
-        return _int_coeffs(self.spec, self.coeffs)
 
 
 def cyclic_shift(f: QuotientPoly, h: int) -> QuotientPoly:
@@ -300,10 +290,9 @@ class FactorList:
         return out
 
     def factor_for_coset_rep(self, rep: int) -> Poly:
-        for f, coset in self.factors:
-            if rep % self.root.n in coset:
-                return f
-        raise KeyError(rep)
+        """The factor of rep's coset mod n; factors come in partition order."""
+        n, qd = self.root.n, self.root.spec.p ** self.subfield_degree
+        return self.factors[cyclotomic_cosets(n, qd).label[rep % n]][0]
 
 
 def factor_xn(n: int, root: RootOfUnity, subfield_degree: int = 1) -> FactorList:

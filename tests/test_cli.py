@@ -427,6 +427,22 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
     # 5 lies in C(5) = {5, 10}, not in C(3)
     (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
       "3", "--j", "5"], "--j 5 is not in the coset of --coset 3"),
+    # the terms as written sum to x^4 + 1 over GF(2)
+    (["factor", "--n", "15", "--q", "2", "--field-poly", "4,1,1,0"],
+     "--field-poly gives x^1 twice"),
+    (["factor", "--n", "15", "--q", "2", "--field-poly", "4,-1,0"],
+     "--field-poly exponent -1 is negative"),
+    # an option the chosen forge mode never reads
+    (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--subfield",
+      "5"], "--subfield is not read in primitive mode"),
+    (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--j", "1"],
+     "--j is not read in primitive mode"),
+    (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
+      "1", "--shift", "2"], "--shift is not read in congruence mode"),
+    (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
+      "5", "--coset", "3"], "--coset is not read in divisor mode"),
+    (["forge", "--n", "45", "--q", "2", "--mode", "extend", "--quotient",
+      "0,3", "--j", "1"], "--j is not read in extend mode"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

@@ -45,14 +45,21 @@ _field_polys = st.one_of(
 # q from -1..7, drawn from the primes half of the time
 _qs = st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers(-1, 7))
 
-_FORGE_MODES = ("divisor", "extend", "congruence", "primitive")
+# the forge options each mode reads; primitive reads none of them and only
+# the default --subfield 1
+_FORGE_OPTIONS = {"quotient": _quotients, "shift": _ints, "coset": _cosets,
+                  "j": st.integers(-2, 8).map(str), "subfield": _subfields}
+_FORGE_READS = {"divisor": ("quotient", "shift", "subfield"),
+                "extend": ("quotient", "shift", "subfield"),
+                "congruence": ("coset", "j", "subfield"),
+                "primitive": ()}
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(
         ("cosets", "factor", "analyze", "mindist")
-        + tuple(f"forge:{mode}" for mode in _FORGE_MODES)))
+        + tuple(f"forge:{mode}" for mode in _FORGE_READS)))
     n = draw(st.integers(-2, 64))
     q = draw(_qs)
     name, _, mode = command.partition(":")
@@ -63,11 +70,13 @@ def _argv(draw):
         argv.append("--cap=1000")
     if name == "forge":
         argv.append(f"--mode={mode}")
-        if draw(st.booleans()):
-            argv.append(f"--quotient={draw(_quotients)}")
-        if draw(st.booleans()):
-            argv.append(f"--coset={draw(_cosets)}")
-    if name in ("factor", "forge") and draw(st.booleans()):
+        # a mode's own options half of the time, an option it does not read
+        # (a usage error) one time in eight, so most inputs reach the work
+        for option, values in _FORGE_OPTIONS.items():
+            if (draw(st.booleans()) if option in _FORGE_READS[mode]
+                    else draw(st.integers(0, 7)) == 0):
+                argv.append(f"--{option}={draw(values)}")
+    if name == "factor" and draw(st.booleans()):
         argv.append(f"--subfield={draw(_subfields)}")
     if name != "cosets" and draw(st.integers(0, 3)) == 0:
         argv.append(f"--field-poly={draw(_field_polys)}")

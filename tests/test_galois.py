@@ -252,6 +252,26 @@ def test_default_modulus_is_irreducible_and_primitive():
         assert build_field(p, m, mod).x_is_primitive
 
 
+def test_irreducibility_is_tested_only_when_x_is_not_primitive(monkeypatch):
+    # a modulus whose x-bar is primitive is irreducible, so FieldSpec skips
+    # the test; FieldSpec is built directly, past build_field's cache
+    calls = []
+
+    def counted(modulus, p):
+        calls.append(modulus)
+        return is_irreducible(modulus, p)
+
+    monkeypatch.setattr(galois, "is_irreducible", counted)
+    assert galois.FieldSpec(2, 8, default_modulus(2, 8)).x_is_primitive
+    assert calls == []
+    # x^4 + x^3 + x^2 + x + 1 is irreducible, and x-bar has order 5
+    assert not galois.FieldSpec(2, 4, (1, 1, 1, 1, 1)).x_is_primitive
+    assert len(calls) == 1
+    with pytest.raises(RejectedModulus, match="reducible over GF"):
+        galois.FieldSpec(2, 4, (1, 0, 1, 0, 1))  # (x^2 + x + 1)^2
+    assert len(calls) == 2
+
+
 def test_build_field_rejects_reducible_modulus():
     with pytest.raises(RejectedModulus):
         build_field(2, 2, (1, 0, 1))

@@ -208,6 +208,18 @@ def test_quotient_divides_out_each_named_coset_once(root15):
     assert factors.quotient([1, 2, 16]) == factors.quotient([1])
 
 
+@pytest.mark.parametrize("n,q,d", [(15, 2, 1), (15, 2, 2), (15, 2, 4),
+                                   (21, 2, 1), (13, 3, 1), (40, 3, 1),
+                                   (40, 3, 2)])
+def test_factor_for_coset_rep_reads_the_coset_label(n, q, d):
+    root = nth_root(build_field(q, multiplicative_order(q, n)), n)
+    factors = factor_xn(n, root, subfield_degree=d)
+    for rep in range(-n, 2 * n + 1):
+        # oracle: the factor whose root coset holds rep mod n, by a scan
+        want = next(f for f, coset in factors.factors if rep % n in coset)
+        assert factors.factor_for_coset_rep(rep) is want, rep
+
+
 def test_factor_xn_over_subfield(root15):
     # over GF(4) the two degree-4 factors split while x^2+x+1 splits too
     coarse = factor_xn(15, root15, subfield_degree=1)
@@ -281,5 +293,12 @@ def test_gcd_with_xn_is_shift_invariant(root15):
 def test_int_coeffs_leak():
     spec = build_field(2, 4)
     bad = Poly(spec, [spec.x()])
-    with pytest.raises(CoefficientLeak, match="coefficient x outside"):
+    with pytest.raises(CoefficientLeak, match="coefficient x outside") as poly:
         bad.int_coeffs()
+    with pytest.raises(CoefficientLeak) as quotient:
+        QuotientPoly.from_poly(bad, 5).int_coeffs()
+    assert str(quotient.value) == str(poly.value)
+    # zero padding past the degree changes neither view
+    padded = QuotientPoly(spec, (0, spec.x(), 0, 1, 0, 0))
+    assert padded.support() == padded.to_poly().support() == {1, 3}
+    assert padded.weight() == padded.to_poly().weight() == 2
