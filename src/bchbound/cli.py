@@ -16,7 +16,7 @@ import sys
 from . import tables
 from .bounds import certify_equality, code_apparent_distance
 from .codes import bose_distance, code_from_defining_set
-from .errors import BchboundError
+from .errors import BchboundError, NotPrimitiveLength
 from .forge import (
     congruence_construct,
     construct_from_quotient,
@@ -335,11 +335,11 @@ def cmd_forge(args):
                 records.append(rec)
                 break
     elif args.mode == "primitive":
-        m = args.n.bit_length()
-        if args.n != (1 << m) - 1 or m < 2 or args.q != 2:
+        try:
+            records = primitive_family(root)
+        except NotPrimitiveLength:
             raise argparse.ArgumentTypeError(
                 "primitive mode needs q = 2 and n = 2^m - 1 with m >= 2")
-        records = primitive_family(root)
     if args.verify:
         records = [rec.verify() for rec in records]
     payload = {"mode": args.mode,

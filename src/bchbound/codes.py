@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
 from .galois import RootOfUnity, _polmul
-from .modring import coset_closure, cyclic_runs, cyclotomic_cosets, is_coset_closed
+from .modring import coset_closure, cyclic_runs, cyclotomic_cosets
 from .polyring import Poly, QuotientPoly, minimal_polynomial
 from .spectral import dft, idft, indicator_spectrum
 
@@ -35,7 +35,7 @@ class CyclicCode:
         if not isinstance(d, frozenset):
             raise TypeError(f"defining set must be a frozenset, "
                             f"not {type(d).__name__}")
-        if {i % n for i in d} != d or not is_coset_closed(d, n, q):
+        if coset_closure(d, n, q) != d:  # the closure is reduced mod n
             raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
         if len(d) == n:
             raise ImproperCode("defining set is all of Z_n")
@@ -113,11 +113,10 @@ def code_from_defining_set(n: int, q: int, root: RootOfUnity, d_set) -> CyclicCo
 
 def bch_code(root: RootOfUnity, delta: int, b: int) -> CyclicCode:
     """B_q(alpha, delta, b): closure of the window {b, ..., b + delta - 2}."""
-    n, q = root.n, root.spec.p
+    n = root.n
     if not 2 <= delta <= n:
         raise ValueError("designed distance must satisfy 2 <= delta <= n")
-    return code_from_defining_set(n, q, root,
-                                  coset_closure(range(b, b + delta - 1), n, q))
+    return CyclicCode(root, coset_closure(range(b, b + delta - 1), n, root.spec.p))
 
 
 def bose_distance(code: CyclicCode):

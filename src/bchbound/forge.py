@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .codes import CyclicCode, bch_code, code_from_defining_set
+from .codes import CyclicCode, bch_code
 from .errors import NotDivisor, NotPrimitiveLength, NotRational
 from .galois import RootOfUnity
-from .modring import cyclic_runs, cyclotomic_cosets, solve_linear_congruence, totient
+from .modring import cyclotomic_cosets, solve_linear_congruence, totient
 from .polyring import FactorList, Poly, QuotientPoly, factor_xn
 from .spectral import idft, is_rational, shifted_spectrum
 from .wtdist import DEFAULT_CAP, min_distance
@@ -68,7 +68,7 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRe
     # vanishes, which is n - deg g exactly when g divides x^n - 1
     if word.weight() != n - g.degree:
         raise NotDivisor(f"g does not divide x^{n} - 1")
-    code = code_from_defining_set(n, root.spec.p, root, s.zero_set())
+    code = CyclicCode(root, s.zero_set())
     assert code.contains(word)
     return ConstructionRecord("divisor", g, k % n, code,
                               bch_bound=n - g.degree, generator_word=word)
@@ -106,7 +106,7 @@ def congruence_construct(factors: FactorList, j: int):
     g(alpha^j) a suitable root power.
 
     Returns None when the hypothesis fails: g(alpha^j) is not in <alpha>, or
-    the gcd divisibility does not hold.
+    the congruence for the shift k has no solution.
     """
     root = factors.root
     n, q = root.n, root.spec.p
@@ -115,8 +115,6 @@ def congruence_construct(factors: FactorList, j: int):
     if t is None:
         return None
     gamma = math.gcd(q - 1, n)
-    if t % math.gcd(j, n // gamma) != 0:
-        return None
     scale = (q - 1) // gamma
     k = solve_linear_congruence(scale * j, (-scale * t) % (n // gamma), n // gamma)
     if k is None:
@@ -149,14 +147,14 @@ def primitive_family(root: RootOfUnity):
 def bch_windows(rec: ConstructionRecord):
     """Starts b of the BCH windows the record's code anchors.
 
-    Each maximal run of delta - 1 members of the defining set, delta the
-    record's bound, is a window whose coset closure defines the BCH code
-    B_q(alpha, delta, b), b the run start.  The window the divisor anchors,
-    b = deg(g) + k + 1, comes first, then ascending b.
+    Each maximal run of delta - 1 members of the defining set (code.runs
+    under a = 1), delta the record's bound, is a window whose coset closure
+    defines the BCH code B_q(alpha, delta, b), b the run start.  The window
+    the divisor anchors, b = deg(g) + k + 1, comes first, then ascending b.
     """
     code = rec.code
     anchored = (rec.divisor.degree + rec.k + 1) % code.n
-    return sorted((b for b, length in cyclic_runs(code.defining_set, code.n)
+    return sorted((b for b, length in code.runs[1 % code.n]
                    if length == rec.bch_bound - 1),
                   key=lambda b: (b != anchored, b))
 

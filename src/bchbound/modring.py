@@ -123,11 +123,6 @@ def cyclic_runs(members, n: int) -> list:
     return out
 
 
-def is_coset_closed(indices, n: int, q: int) -> bool:
-    s = {i % n for i in indices}
-    return all(a * q % n in s for a in s)
-
-
 def solve_linear_congruence(a: int, b: int, m: int):
     """Least nonnegative k with a*k = b (mod m), or None when unsolvable."""
     if m < 1:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import NotCosetClosed, RootMismatch
 from .galois import FieldSpec, RootOfUnity, poly_str
-from .modring import cyclotomic_cosets, is_coset_closed
+from .modring import coset_closure, cyclotomic_cosets
 from .polyring import Poly, QuotientPoly, cyclic_shift
 
 # Column tables of at most this many bytes stay cached on their root;
@@ -308,6 +308,6 @@ def indicator_spectrum(defining_set, root: RootOfUnity) -> Spectrum:
     """F_D: 0 at indices in D, 1 elsewhere; the dft of the code idempotent."""
     n, q = root.n, root.spec.p
     d = {i % n for i in defining_set}
-    if not is_coset_closed(d, n, q):
+    if coset_closure(d, n, q) != d:
         raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
     return Spectrum(n, root, tuple(0 if i in d else 1 for i in range(n)))

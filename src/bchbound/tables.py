@@ -20,7 +20,7 @@ import csv
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .codes import bch_code, bose_distance, code_from_defining_set
+from .codes import CyclicCode, bch_code, bose_distance
 from .errors import UnknownTable
 from .forge import bch_windows, construct_from_quotient
 from .galois import build_field, nth_root, root_from_x
@@ -86,7 +86,7 @@ def _row_from_code(code):
 def _coset_code(n, q, reps):
     root = _root_for(n, q)
     complement = coset_closure(reps, n, q)
-    return code_from_defining_set(n, q, root, frozenset(range(n)) - complement)
+    return CyclicCode(root, frozenset(range(n)) - complement)
 
 
 def _recompute_coset_rows(golden):
@@ -123,7 +123,7 @@ def _recompute_n21():
 def _recompute_n45():
     root = _root_for(45, 2)
     rec = construct_from_quotient(factor_xn(45, root), (0, 3))
-    subcode = code_from_defining_set(45, 2, root, coset_closure([1, 3, 9], 45, 2))
+    subcode = CyclicCode(root, coset_closure([1, 3, 9], 45, 2))
     return [_row_from_code(rec.code), _row_from_code(subcode),
             _row_from_code(_anchored_bch_code(rec))]
 

@@ -96,8 +96,6 @@ def min_distance(code: CyclicCode, cap: int = DEFAULT_CAP) -> DistanceResult:
 def _search(code: CyclicCode, cap: int, proven: int) -> DistanceResult:
     """The search from a proven lower bound on d; proven = 0 searches blind."""
     n, k, q = code.n, code.dimension, code.q
-    if k < 1:
-        raise ValueError("dimension must be >= 1")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     step = q - 1  # row i times 1, ..., q - 1 is mults[step*i:step*i + step]

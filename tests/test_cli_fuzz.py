@@ -10,6 +10,7 @@ parser does.
 
 import contextlib
 import io
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,11 +45,28 @@ _field_polys = st.one_of(
     _junk)
 # q from -1..7, drawn from the primes half of the time
 _qs = st.one_of(st.sampled_from((2, 3, 5, 7)), st.integers(-1, 7))
+# forge draws its (n, q) from these seven times in eight, so that most forge
+# inputs pass the --n, --q and coprimality checks and reach a route;
+# primitive mode takes only the binary primitive lengths 2^m - 1, m >= 2
+_coprime_pairs = st.sampled_from([(n, q) for q in (2, 3, 5, 7)
+                                  for n in range(1, 65) if math.gcd(n, q) == 1])
+_primitive_lengths = st.sampled_from([((1 << m) - 1, 2) for m in range(2, 7)])
+
+# a forge option's value is well formed three times in four: residues below
+# 64 for the cosets it names, a subfield degree of 1 or 2
+_residues = st.integers(0, 63).map(str)
+_reps = st.lists(_residues, min_size=1, max_size=2, unique=True).map(",".join)
+_degrees = st.sampled_from(("1", "2"))
 
 # the forge options each mode reads; primitive reads none of them and only
-# the default --subfield 1
-_FORGE_OPTIONS = {"quotient": _quotients, "shift": _ints, "coset": _cosets,
-                  "j": st.integers(-2, 8).map(str), "subfield": _subfields}
+# the default --subfield 1.  The first option a mode reads is the one its
+# route needs.
+_FORGE_OPTIONS = {
+    "quotient": st.one_of(_reps, _reps, _reps, _quotients),
+    "shift": _ints,
+    "coset": st.one_of(_residues, _residues, _residues, _cosets),
+    "j": st.integers(-2, 8).map(str),
+    "subfield": st.one_of(_degrees, _degrees, _degrees, _subfields)}
 _FORGE_READS = {"divisor": ("quotient", "shift", "subfield"),
                 "extend": ("quotient", "shift", "subfield"),
                 "congruence": ("coset", "j", "subfield"),
@@ -60,9 +78,12 @@ def _argv(draw):
     command = draw(st.sampled_from(
         ("cosets", "factor", "analyze", "mindist")
         + tuple(f"forge:{mode}" for mode in _FORGE_READS)))
-    n = draw(st.integers(-2, 64))
-    q = draw(_qs)
     name, _, mode = command.partition(":")
+    if name == "forge" and draw(st.integers(0, 7)):
+        n, q = draw(_primitive_lengths if mode == "primitive"
+                    else _coprime_pairs)
+    else:
+        n, q = draw(st.integers(-2, 64)), draw(_qs)
     argv = [name, f"--n={n}", f"--q={q}"]
     if name in ("analyze", "mindist"):
         argv.append(f"--defining-set={draw(_defining_sets)}")
@@ -70,12 +91,18 @@ def _argv(draw):
         argv.append("--cap=1000")
     if name == "forge":
         argv.append(f"--mode={mode}")
-        # a mode's own options half of the time, an option it does not read
-        # (a usage error) one time in eight, so most inputs reach the work
-        for option, values in _FORGE_OPTIONS.items():
-            if (draw(st.booleans()) if option in _FORGE_READS[mode]
-                    else draw(st.integers(0, 7)) == 0):
-                argv.append(f"--{option}={draw(values)}")
+        # the option the route needs seven times in eight, the mode's other
+        # options half of the time, and one option it does not read (a usage
+        # error) one time in eight, so most inputs reach the work
+        reads = _FORGE_READS[mode]
+        options = [o for o in reads[1:] if draw(st.booleans())]
+        if reads and draw(st.integers(0, 7)):
+            options.insert(0, reads[0])
+        if draw(st.integers(0, 7)) == 0:
+            options.append(draw(st.sampled_from(
+                [o for o in _FORGE_OPTIONS if o not in reads])))
+        for option in options:
+            argv.append(f"--{option}={draw(_FORGE_OPTIONS[option])}")
     if name == "factor" and draw(st.booleans()):
         argv.append(f"--subfield={draw(_subfields)}")
     if name != "cosets" and draw(st.integers(0, 3)) == 0:

@@ -92,6 +92,41 @@ def test_code_is_checked_when_made(root15):
     assert CyclicCode(root15, d) == code_from_defining_set(15, 2, root15, d)
 
 
+def _closed_mod_n(indices, n, q):
+    """Oracle: the indices mod n are closed under i -> q*i, by definition."""
+    s = {i % n for i in indices}
+    return all(a * q % n in s for a in s)
+
+
+@pytest.mark.parametrize("n,q,m", [(21, 2, 6), (40, 3, 4), (63, 2, 6)])
+def test_closedness_matches_the_definition(n, q, m):
+    # coset_closure(D) == D decides both halves of the check: D is closed,
+    # and every member lies in [0, n); indicator_spectrum reduces mod n first
+    root = nth_root(build_field(q, m), n)
+    reps = cyclotomic_cosets(n, q).representatives
+    rng = random.Random(n * q)
+    for _ in range(150):
+        chosen = rng.sample(reps, rng.randrange(len(reps) + 1))
+        s = set(coset_closure(chosen, n, q))
+        for _ in range(rng.randrange(3)):  # toggle members of [-n, 2n)
+            s ^= {rng.randrange(-n, 2 * n)}
+        closed = _closed_mod_n(s, n, q)
+        proper = closed and all(0 <= i < n for i in s)
+        if proper and len(s) == n:
+            with pytest.raises(ImproperCode):
+                CyclicCode(root, frozenset(s))
+        elif proper:
+            assert CyclicCode(root, frozenset(s)).defining_set == s
+        else:
+            with pytest.raises(NotCosetClosed):
+                CyclicCode(root, frozenset(s))
+        if closed:
+            indicator_spectrum(s, root)
+        else:
+            with pytest.raises(NotCosetClosed):
+                indicator_spectrum(s, root)
+
+
 @pytest.mark.parametrize("d", [{0}, [0]])
 def test_defining_set_must_be_a_frozenset(root15, d):
     with pytest.raises(TypeError, match=type(d).__name__):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from bchbound.codes import bose_distance
@@ -11,7 +14,12 @@ from bchbound.forge import (
     find_shift,
     primitive_family,
 )
-from bchbound.modring import totient
+from bchbound.modring import (
+    cyclic_runs,
+    multiplicative_order,
+    solve_linear_congruence,
+    totient,
+)
 from bchbound.galois import build_field, nth_root
 from bchbound.polyring import Poly, divisor_enumerate, factor_xn
 from bchbound.spectral import dft
@@ -99,8 +107,28 @@ def test_congruence_route(root15):
     assert rec.source == "congruence"
     assert rec.divisor == factors.quotient([5])
     assert rec.verify().verified
-    # the degree-4 factor with coset C(3) fails the divisibility condition
+    # the degree-4 factor with coset C(3) fails the congruence: g(alpha^3) =
+    # alpha^14, and 3k = -14 (mod 15) has no solution
+    assert root15.dlog(factors.quotient([3]).eval(root15.pow(3))) == 14
+    assert solve_linear_congruence(3, -14 % 15, 15) is None
     assert congruence_construct(factors, 3) is None
+
+
+def test_congruence_is_solvable_exactly_when_gcd_divides_t():
+    # the route's solvability test is solve_linear_congruence's own: with
+    # gamma = gcd(q - 1, n), N = n / gamma and s = (q - 1) / gamma, gcd(s, N)
+    # is 1, so s*j*k = -s*t (mod N) is solvable iff gcd(j, N) divides t
+    for q in (2, 3, 5, 7, 11):
+        for n in range(1, 120):
+            if math.gcd(n, q) != 1:
+                continue
+            gamma = math.gcd(q - 1, n)
+            big_n, s = n // gamma, (q - 1) // gamma
+            for j in range(n):
+                g = math.gcd(j, big_n)
+                for t in range(n):
+                    k = solve_linear_congruence(s * j, -s * t % big_n, big_n)
+                    assert (k is not None) == (t % g == 0), (q, n, j, t)
 
 
 def test_divisor_route_rejects_a_non_divisor(root15):
@@ -186,6 +214,35 @@ def test_extend_to_bch_n33():
     assert first.source == "extension"
     res = min_distance(first.code)
     assert res.exhaustive and res.distance == res.bch_bound == 3
+
+
+def _windows_by_fresh_scan(rec):
+    """bch_windows with the runs of D scanned afresh, not read off the code."""
+    code = rec.code
+    anchored = (rec.divisor.degree + rec.k + 1) % code.n
+    return sorted((b for b, length in cyclic_runs(code.defining_set, code.n)
+                   if length == rec.bch_bound - 1),
+                  key=lambda b: (b != anchored, b))
+
+
+def _quotient_records(n):
+    """construct_from_quotient's record for every proper nonempty set of
+    coset representatives whose divisor has a rational shift."""
+    factors = factor_xn(n, nth_root(build_field(2, multiplicative_order(2, n)), n))
+    reps = [min(c) for _, c in factors.factors]
+    for size in range(1, len(reps)):
+        for chosen in itertools.combinations(reps, size):
+            if find_shift(factors.quotient(chosen), factors.root) is not None:
+                yield construct_from_quotient(factors, chosen)
+
+
+def test_bch_windows_read_the_codes_runs():
+    records = [rec for m in (5, 6) for rec in primitive_family(_primitive_root(m))]
+    for n in (15, 21, 45):
+        records.extend(_quotient_records(n))
+    assert len(records) > 20
+    for rec in records:
+        assert bch_windows(rec) == _windows_by_fresh_scan(rec)
 
 
 def test_extension_codes_are_bch(root15):

@@ -192,14 +192,14 @@ def _extensions(limit):
 
 
 def _reference_default_modulus(p, m):
-    # the search before the order argument: a FieldSpec per candidate (its
-    # constructor runs Rabin's irreducibility test), then x-bar's order by
-    # FieldSpec.power; callers stub out _build_tables, as the search did
+    # the search before the order argument: Rabin's irreducibility test per
+    # candidate, run here and not left to FieldSpec (which skips it when x-bar
+    # is primitive), then x-bar's order by FieldSpec.power; callers stub out
+    # _build_tables, as the search did
     for _, coeffs in _monic(p, m):
-        try:
-            spec = galois.FieldSpec(p, m, coeffs)
-        except RejectedModulus:  # reducible
+        if not is_irreducible(coeffs, p):
             continue
+        spec = galois.FieldSpec(p, m, coeffs)
         primitive = spec._has_order(spec.x(), spec.order - 1)
         assert spec.x_is_primitive == primitive
         if primitive:
