@@ -34,7 +34,6 @@ from .galois import (
 from .modring import (
     MAX_N,
     coset_closure,
-    cyclotomic_coset,
     cyclotomic_cosets,
     multiplicative_order,
 )
@@ -306,7 +305,7 @@ def _forge_divisor(args, root):
 
 def cmd_forge(args):
     unread = {"congruence": "quotient shift",
-              "primitive": "coset j quotient shift"}.get(args.mode, "coset j")
+              "primitive": "coset quotient shift"}.get(args.mode, "coset")
     given = [f"--{o}" for o in unread.split() if getattr(args, o) is not None]
     if args.mode == "primitive" and args.subfield != 1:
         given.append("--subfield")
@@ -324,16 +323,8 @@ def cmd_forge(args):
             raise argparse.ArgumentTypeError(
                 "--coset is required for congruence mode")
         factors = factor_xn(args.n, root, subfield_degree=args.subfield)
-        coset = cyclotomic_coset(args.coset, args.n, args.q ** args.subfield)
-        if args.j is not None and args.j % args.n not in coset:
-            raise argparse.ArgumentTypeError(
-                f"--j {args.j} is not in the coset of --coset {args.coset}")
-        members = [args.j] if args.j is not None else sorted(coset)
-        for j in members:
-            rec = congruence_construct(factors, j)
-            if rec is not None:
-                records.append(rec)
-                break
+        rec = congruence_construct(factors, args.coset)
+        records = [rec] if rec is not None else []
     elif args.mode == "primitive":
         try:
             records = primitive_family(root)
@@ -487,8 +478,6 @@ def build_parser(command=None):
                               "one)")
         sub.add_argument("--coset", type=int, default=None,
                          help="congruence mode: coset rep of the factor h")
-        sub.add_argument("--j", type=int, default=None,
-                         help="congruence mode: evaluation exponent")
         sub.add_argument("--verify", action="store_true",
                          help="recheck bound and distance")
 

@@ -105,6 +105,9 @@ def congruence_construct(factors: FactorList, j: int):
     """Criterion route: g = (x^n - 1)/h, h the factor of j's coset, with
     g(alpha^j) a suitable root power.
 
+    j stands for its whole coset: every member gives the same record, since
+    g(alpha^(Q*j)) = g(alpha^j)^Q for Q = q^d, and multiplying the
+    congruence by Q, a unit mod n/gcd(q - 1, n), keeps its least k.
     Returns None when the hypothesis fails: g(alpha^j) is not in <alpha>, or
     the congruence for the shift k has no solution.
     """

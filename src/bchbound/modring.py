@@ -133,7 +133,4 @@ def solve_linear_congruence(a: int, b: int, m: int):
     if b % g != 0:
         return None
     mm = m // g
-    if mm == 1:
-        return 0
-    k = (b // g) * pow(a // g, -1, mm) % mm
-    return k
+    return (b // g) * pow(a // g, -1, mm) % mm

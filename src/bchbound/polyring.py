@@ -192,8 +192,8 @@ class QuotientPoly:
 
     @classmethod
     def from_ints(cls, spec, n, ints):
-        c = [i % spec.p for i in ints] + [0] * (n - len(ints))
-        return cls(spec, tuple(c[:n]))
+        """Prime-field integers, reduced mod x^n - 1 as from_poly reduces."""
+        return cls.from_poly(Poly.from_ints(spec, ints), n)
 
     def to_poly(self) -> Poly:
         return Poly(self.spec, self.coeffs)

@@ -275,7 +275,10 @@ def _trace(spec: FieldSpec):
 
 
 def dft(f: QuotientPoly | Poly, root: RootOfUnity) -> Spectrum:
-    """values[i] = f(alpha^i)."""
+    """values[i] = f(alpha^i); a QuotientPoly must have length root.n."""
+    if isinstance(f, QuotientPoly) and f.n != root.n:
+        raise RootMismatch(f"a word of length {f.n} over a root of order "
+                           f"{root.n}")
     return Spectrum(root.n, root, tuple(_transform(f.coeffs, root, 1)))
 
 

@@ -76,6 +76,9 @@ def test_field_poly_takes_coefficients(capsys):
     # x^3 + 2x + 1 is primitive: x-bar has order 26
     code, out, _ = run_cli(capsys, "factor", "--n", "26", "--q", "3",
                            "--field-poly", "3,1:2,0", "--json")
+    # 2x^3 + x + 2 is 2 * (x^3 + 2x + 1), and is made monic
+    assert run_cli(capsys, "factor", "--n", "26", "--q", "3", "--field-poly",
+                   "3:2,1,0:2", "--json") == (code, out, "")
     payload = json.loads(out)
     assert payload["alpha"] == {"min_poly": [3, "1:2", 0]}
     assert payload["field_poly"] == [3, "1:2", 0]
@@ -369,10 +372,21 @@ def test_forge_congruence_needs_coset(capsys):
 def test_forge_congruence_accepts_any_coset_member(capsys):
     _, rep, _ = run_cli(capsys, "forge", "--n", "15", "--q", "2", "--mode",
                         "congruence", "--coset", "1", "--json")
-    code, member, _ = run_cli(capsys, "forge", "--n", "15", "--q", "2",
-                              "--mode", "congruence", "--coset", "2", "--json")
+    for member in ("2", "8", "16"):  # 16 is 1 past n
+        code, out, _ = run_cli(capsys, "forge", "--n", "15", "--q", "2",
+                               "--mode", "congruence", "--coset", member,
+                               "--json")
+        assert code == 0
+        assert out == rep
+
+
+def test_forge_congruence_that_builds_nothing_exits_0(capsys):
+    # at n = 5, g(alpha) is no power of alpha
+    code, out, _ = run_cli(capsys, "forge", "--n", "5", "--q", "2", "--mode",
+                           "congruence", "--coset", "1")
     assert code == 0
-    assert member == rep
+    assert out == ("0 construction(s) in congruence mode\n"
+                   "  (the construction hypothesis failed; nothing built)\n")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -424,9 +438,10 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
       "a"], "argument --quotient: bad coset list 'a'"),
     (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
       "5,"], "argument --quotient: bad coset list '5,'"),
-    # 5 lies in C(5) = {5, 10}, not in C(3)
+    # forge has no --j: argparse reads it as an abbreviation of --json,
+    # which takes no value, so the value is left over
     (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
-      "3", "--j", "5"], "--j 5 is not in the coset of --coset 3"),
+      "3", "--j", "5"], "error: unrecognized arguments: 5"),
     # the terms as written sum to x^4 + 1 over GF(2)
     (["factor", "--n", "15", "--q", "2", "--field-poly", "4,1,1,0"],
      "--field-poly gives x^1 twice"),
@@ -436,13 +451,15 @@ def test_forge_congruence_accepts_any_coset_member(capsys):
     (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--subfield",
       "5"], "--subfield is not read in primitive mode"),
     (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--j", "1"],
-     "--j is not read in primitive mode"),
+     "error: unrecognized arguments: 1"),
     (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
       "1", "--shift", "2"], "--shift is not read in congruence mode"),
     (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
       "5", "--coset", "3"], "--coset is not read in divisor mode"),
     (["forge", "--n", "45", "--q", "2", "--mode", "extend", "--quotient",
-      "0,3", "--j", "1"], "--j is not read in extend mode"),
+      "0,3", "--j", "1"], "error: unrecognized arguments: 1"),
+    (["analyze", "--n", "15", "--q", "2", "--defining-set", "1,x"],
+     "bad defining set '1,x'"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

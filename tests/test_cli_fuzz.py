@@ -65,11 +65,10 @@ _FORGE_OPTIONS = {
     "quotient": st.one_of(_reps, _reps, _reps, _quotients),
     "shift": _ints,
     "coset": st.one_of(_residues, _residues, _residues, _cosets),
-    "j": st.integers(-2, 8).map(str),
     "subfield": st.one_of(_degrees, _degrees, _degrees, _subfields)}
 _FORGE_READS = {"divisor": ("quotient", "shift", "subfield"),
                 "extend": ("quotient", "shift", "subfield"),
-                "congruence": ("coset", "j", "subfield"),
+                "congruence": ("coset", "subfield"),
                 "primitive": ()}
 
 

@@ -390,6 +390,18 @@ def test_restated_n_and_m_must_match_the_root(root21):
         for r in primitive_family(nth_root(build_field(2, 4), 15))]
 
 
+def test_a_word_must_have_the_roots_length(root15):
+    spec = root15.spec
+    with pytest.raises(RootMismatch):
+        dft(QuotientPoly.from_ints(spec, 21, [1, 1]), root15)
+    code = CyclicCode(root15, coset_closure([1], 15, 2))
+    with pytest.raises(RootMismatch):
+        code.contains(QuotientPoly.from_ints(spec, 30, [0] * 30))
+    # a Poly of any degree is read mod x^15 - 1
+    assert (dft(Poly.from_ints(spec, [0] * 15 + [1]), root15)
+            == dft(Poly.one(spec), root15))
+
+
 def test_derived_values_are_properties(root21):
     def names(cls):
         return [f.name for f in dataclasses.fields(cls)]

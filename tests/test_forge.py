@@ -16,6 +16,7 @@ from bchbound.forge import (
 )
 from bchbound.modring import (
     cyclic_runs,
+    cyclotomic_cosets,
     multiplicative_order,
     solve_linear_congruence,
     totient,
@@ -112,6 +113,35 @@ def test_congruence_route(root15):
     assert root15.dlog(factors.quotient([3]).eval(root15.pow(3))) == 14
     assert solve_linear_congruence(3, -14 % 15, 15) is None
     assert congruence_construct(factors, 3) is None
+
+
+def test_congruence_route_fails_off_the_root_powers():
+    # at n = 5 over GF(16), g = (x^5 - 1)/h(C(1)) = x + 1 and g(alpha) is
+    # no power of alpha, so the route builds nothing
+    root = nth_root(build_field(2, 4), 5)
+    factors = factor_xn(5, root)
+    assert root.dlog(factors.quotient([1]).eval(root.pow(1))) is None
+    assert congruence_construct(factors, 1) is None
+
+
+def test_every_coset_member_gives_the_same_record():
+    # g(alpha^(Q*j)) = g(alpha^j)^Q for Q = q^d, and Q is a unit mod
+    # n/gcd(q - 1, n), so j's congruence and Q*j's have the same least k
+    for q in (2, 3, 5):
+        for n in range(1, 46):
+            if math.gcd(n, q) != 1:
+                continue
+            m = multiplicative_order(q, n)
+            if q ** m > 5000:
+                continue
+            root = nth_root(build_field(q, m), n)
+            for d in sorted({1, m}):
+                factors = factor_xn(n, root, subfield_degree=d)
+                for coset in cyclotomic_cosets(n, q ** d).cosets:
+                    rep = congruence_construct(factors, coset[0])
+                    for j in coset[1:] + (coset[0] + n,):
+                        assert congruence_construct(factors, j) == rep, (
+                            q, n, d, j)
 
 
 def test_congruence_is_solvable_exactly_when_gcd_divides_t():

@@ -277,6 +277,18 @@ def test_build_field_rejects_reducible_modulus():
         build_field(2, 2, (1, 0, 1))
 
 
+def test_build_field_makes_the_modulus_monic():
+    # 2x^3 + x + 2 over GF(3) is 2 * (x^3 + 2x + 1)
+    assert build_field(3, 3, (2, 1, 0, 2)) == build_field(3, 3, (1, 2, 0, 1))
+
+
+def test_a_modulus_needs_degree_m_and_m_at_least_1():
+    with pytest.raises(RejectedModulus, match="monic of degree 4"):
+        galois.FieldSpec(2, 4, (1, 1, 0, 0, 0, 1))
+    with pytest.raises(RejectedModulus, match="degree must be >= 1"):
+        build_field(2, 0)
+
+
 def test_build_field_rejects_field_past_cap():
     # x^31 + x^3 + 1 and x^89 + x^38 + 1 are irreducible over GF(2); both
     # fields lie past the cap, and neither is factored or tested
@@ -385,6 +397,11 @@ def test_root_from_x_rejects_wrong_order():
     spec = build_field(2, 4, (1, 1, 0, 0, 1))
     with pytest.raises(OrderUnavailable):
         root_from_x(spec, 5)
+
+
+def test_root_from_x_over_a_prime_field():
+    # modulo x + 4 over GF(7), x is the constant -4 = 3, of order 6
+    assert root_from_x(build_field(7, 1, (4, 1)), 6).value == 3
 
 
 def test_a_root_is_checked_when_it_is_made():

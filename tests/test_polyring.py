@@ -277,6 +277,14 @@ def test_quotient_poly_and_shift():
     assert f.weight() == 2
 
 
+def test_from_ints_reduces_as_from_poly_does():
+    spec = build_field(2, 4)
+    for ints in ([0] * 15 + [1], [1, 1] + [0] * 20 + [1], [1, 0, 1]):
+        assert (QuotientPoly.from_ints(spec, 15, ints)
+                == QuotientPoly.from_poly(Poly.from_ints(spec, ints), 15))
+    assert QuotientPoly.from_ints(spec, 15, [0] * 15 + [1]).support() == {0}
+
+
 def test_gcd_with_xn_is_shift_invariant(root15):
     rng = random.Random(48)
     spec = root15.spec
