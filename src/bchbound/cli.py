@@ -53,7 +53,7 @@ def _check_args(args):
         raise argparse.ArgumentTypeError(f"--n must lie in 1..{MAX_N}, not {n}")
     if n is not None and math.gcd(n, q) != 1:
         raise argparse.ArgumentTypeError(f"--n {n} and --q {q} must be coprime")
-    if getattr(args, "subfield", 1) < 1:
+    if getattr(args, "subfield", None) is not None and args.subfield < 1:
         raise argparse.ArgumentTypeError(
             f"--subfield must be a positive degree, not {args.subfield}")
     if getattr(args, "cap", 1) < 1:
@@ -288,11 +288,7 @@ def _record_payload(rec, field_info):
     return payload
 
 
-def _forge_divisor(args, root):
-    factors = factor_xn(args.n, root, subfield_degree=args.subfield)
-    if args.quotient is None:
-        raise argparse.ArgumentTypeError(
-            "--quotient is required for divisor and extend modes")
+def _forge_divisor(args, factors):
     removed = []
     for rep in args.quotient:
         f = factors.factor_for_coset_rep(rep)
@@ -303,34 +299,39 @@ def _forge_divisor(args, root):
     return construct_from_quotient(factors, args.quotient, args.shift)
 
 
+# the options each forge mode reads, in --mode's order; the first is the one
+# the mode's route requires
+FORGE_READS = {"divisor": ("quotient", "shift", "subfield"),
+               "congruence": ("coset", "subfield"),
+               "primitive": (),
+               "extend": ("quotient", "shift", "subfield")}
+
+
 def cmd_forge(args):
-    unread = {"congruence": "quotient shift",
-              "primitive": "coset quotient shift"}.get(args.mode, "coset")
-    given = [f"--{o}" for o in unread.split() if getattr(args, o) is not None]
-    if args.mode == "primitive" and args.subfield != 1:
-        given.append("--subfield")
+    reads = FORGE_READS[args.mode]
+    unread = sorted({o for r in FORGE_READS.values() for o in r} - set(reads))
+    given = [o for o in unread if getattr(args, o) is not None]
     if given:
         raise argparse.ArgumentTypeError(
-            f"{given[0]} is not read in {args.mode} mode")
+            f"--{given[0]} is not read in {args.mode} mode")
+    if reads and getattr(args, reads[0]) is None:
+        raise argparse.ArgumentTypeError(
+            f"--{reads[0]} is required for {args.mode} mode")
     root, field_info = _make_root(args.n, args.q, args.field_poly)
-    records = []
-    if args.mode == "divisor":
-        records = [_forge_divisor(args, root)]
-    elif args.mode == "extend":
-        records = extend_to_bch(_forge_divisor(args, root))
-    elif args.mode == "congruence":
-        if args.coset is None:
-            raise argparse.ArgumentTypeError(
-                "--coset is required for congruence mode")
-        factors = factor_xn(args.n, root, subfield_degree=args.subfield)
-        rec = congruence_construct(factors, args.coset)
-        records = [rec] if rec is not None else []
-    elif args.mode == "primitive":
+    if args.mode == "primitive":
         try:
             records = primitive_family(root)
         except NotPrimitiveLength:
             raise argparse.ArgumentTypeError(
                 "primitive mode needs q = 2 and n = 2^m - 1 with m >= 2")
+    else:
+        factors = factor_xn(args.n, root, subfield_degree=args.subfield or 1)
+        if args.mode == "congruence":
+            rec = congruence_construct(factors, args.coset)
+            records = [rec] if rec is not None else []
+        else:
+            rec = _forge_divisor(args, factors)
+            records = [rec] if args.mode == "divisor" else extend_to_bch(rec)
     if args.verify:
         records = [rec.verify() for rec in records]
     payload = {"mode": args.mode,
@@ -425,7 +426,7 @@ def build_parser(command=None):
     unknown command, and keeps argparse's wording "command" in their errors.
     """
     parser = argparse.ArgumentParser(
-        prog="bchbound",
+        prog="bchbound", allow_abbrev=False,
         description="Cyclic and BCH codes: BCH bounds, distances, and "
                     "constructions meeting the bound.")
     narrowed = command in _COMMANDS
@@ -435,7 +436,7 @@ def build_parser(command=None):
     def add(name, func, help_text):
         if narrowed and name != command:
             return None
-        sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text, allow_abbrev=False)
         sub.set_defaults(func=func)
         return sub
 
@@ -465,18 +466,15 @@ def build_parser(command=None):
     if sub := add("forge", cmd_forge,
                   "build codes whose distance meets the BCH bound"):
         _add_code_args(sub, defining_set=False)
-        sub.add_argument("--mode", required=True,
-                         choices=("divisor", "congruence", "primitive",
-                                  "extend"))
-        sub.add_argument("--subfield", type=int, default=1)
+        sub.add_argument("--mode", required=True, choices=tuple(FORGE_READS))
+        sub.add_argument("--subfield", type=int)
         sub.add_argument("--quotient", type=_parse_coset_list,
-                         default=None,
                          help="coset reps of the factors removed from "
                               "x^n - 1")
-        sub.add_argument("--shift", type=int, default=None,
+        sub.add_argument("--shift", type=int,
                          help="cyclic shift k (default: smallest rational "
                               "one)")
-        sub.add_argument("--coset", type=int, default=None,
+        sub.add_argument("--coset", type=int,
                          help="congruence mode: coset rep of the factor h")
         sub.add_argument("--verify", action="store_true",
                          help="recheck bound and distance")

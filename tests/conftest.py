@@ -1,6 +1,38 @@
+import signal
+
 import pytest
 
 from bchbound.galois import build_field, nth_root, root_from_x
+
+# a test that runs this long is hung, not slow: the slowest takes seconds
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that outruns TEST_TIME_LIMIT_S.
+
+    Not an Exception: hypothesis catches those and replays the failing
+    example with no alarm armed, so a hung loop would hang again.
+    """
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """End a hung test as a named failure, where SIGALRM exists."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -217,12 +217,10 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-_COMMANDS = ("cosets", "factor", "analyze", "mindist", "forge", "reproduce")
-
 # argv whose output is argparse's own: help text or a usage error
 _PARSER_CORPUS = [
     [], ["-h"], ["--help"], ["bogus"],
-    *([name, "-h"] for name in _COMMANDS),
+    *([name, "-h"] for name in cli._COMMANDS),
     ["analyze", "--n", "21"],  # missing required options
     ["reproduce"],
     ["analyze", "--n", "21", "--q", "2", "--defining-set", "1", "--bogus"],
@@ -369,6 +367,25 @@ def test_forge_congruence_needs_coset(capsys):
     assert "--coset is required" in capsys.readouterr().err
 
 
+# a value of each forge option that every mode reading it accepts at n = 15
+_FORGE_VALUES = {"quotient": "5", "shift": "1", "coset": "1", "subfield": "1"}
+
+
+@pytest.mark.parametrize("mode", cli.FORGE_READS)
+def test_forge_reads_the_options_its_table_lists(capsys, mode):
+    reads = cli.FORGE_READS[mode]
+    argv = ["forge", "--n", "15", "--q", "2", "--mode", mode]
+    for option in reads:
+        argv += [f"--{option}", _FORGE_VALUES[option]]
+    assert run_cli(capsys, *argv)[0] == cli.EXIT_OK
+    for option in sorted(_FORGE_VALUES.keys() - reads):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv + [f"--{option}", _FORGE_VALUES[option]])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert (f"--{option} is not read in {mode} mode"
+                in capsys.readouterr().err)
+
+
 def test_forge_congruence_accepts_any_coset_member(capsys):
     _, rep, _ = run_cli(capsys, "forge", "--n", "15", "--q", "2", "--mode",
                         "congruence", "--coset", "1", "--json")
@@ -438,10 +455,9 @@ def test_forge_congruence_that_builds_nothing_exits_0(capsys):
       "a"], "argument --quotient: bad coset list 'a'"),
     (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
       "5,"], "argument --quotient: bad coset list '5,'"),
-    # forge has no --j: argparse reads it as an abbreviation of --json,
-    # which takes no value, so the value is left over
+    # forge has no --j, and no long option may be abbreviated
     (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
-      "3", "--j", "5"], "error: unrecognized arguments: 5"),
+      "3", "--j", "5"], "unrecognized arguments: --j 5"),
     # the terms as written sum to x^4 + 1 over GF(2)
     (["factor", "--n", "15", "--q", "2", "--field-poly", "4,1,1,0"],
      "--field-poly gives x^1 twice"),
@@ -451,15 +467,32 @@ def test_forge_congruence_that_builds_nothing_exits_0(capsys):
     (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--subfield",
       "5"], "--subfield is not read in primitive mode"),
     (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--j", "1"],
-     "error: unrecognized arguments: 1"),
+     "unrecognized arguments: --j 1"),
     (["forge", "--n", "15", "--q", "2", "--mode", "congruence", "--coset",
       "1", "--shift", "2"], "--shift is not read in congruence mode"),
     (["forge", "--n", "15", "--q", "2", "--mode", "divisor", "--quotient",
       "5", "--coset", "3"], "--coset is not read in divisor mode"),
     (["forge", "--n", "45", "--q", "2", "--mode", "extend", "--quotient",
-      "0,3", "--j", "1"], "error: unrecognized arguments: 1"),
+      "0,3", "--j", "1"], "unrecognized arguments: --j 1"),
     (["analyze", "--n", "15", "--q", "2", "--defining-set", "1,x"],
      "bad defining set '1,x'"),
+    # the option each forge route requires
+    (["forge", "--n", "21", "--q", "2", "--mode", "divisor"],
+     "--quotient is required for divisor mode"),
+    (["forge", "--n", "21", "--q", "2", "--mode", "extend", "--shift", "1"],
+     "--quotient is required for extend mode"),
+    (["forge", "--n", "21", "--q", "2", "--mode", "congruence", "--subfield",
+      "1"], "--coset is required for congruence mode"),
+    # abbreviations of --json, --verify and --quotient
+    (["forge", "--n", "21", "--q", "2", "--mode", "divisor", "--quotient",
+      "7", "--j"], "unrecognized arguments: --j"),
+    (["forge", "--n", "21", "--q", "2", "--mode", "divisor", "--quotient",
+      "7", "--ver"], "unrecognized arguments: --ver"),
+    (["forge", "--n", "21", "--q", "2", "--mode", "divisor", "--quotient",
+      "7", "--quot", "7"], "unrecognized arguments: --quot 7"),
+    # primitive mode reads no --subfield, not even the degree 1 of GF(q)
+    (["forge", "--n", "31", "--q", "2", "--mode", "primitive", "--subfield",
+      "1"], "--subfield is not read in primitive mode"),
 ])
 def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:

@@ -2,7 +2,8 @@
 
 Commands run in-process through ``cli.main``.  An exception other than
 SystemExit is what the ``bchbound`` command would print as a traceback, so
-it fails the test; the exit code must be 0, 2 (usage) or 3 (computation).
+it fails the test; the exit code must be 0, 2 (usage) or 3 (computation),
+and 2 when a long option is cut short, since none may be abbreviated.
 The examples are derandomized, so the suite sees the same inputs each run.
 The parser of the named command alone must parse each input as the full
 parser does.
@@ -58,25 +59,19 @@ _residues = st.integers(0, 63).map(str)
 _reps = st.lists(_residues, min_size=1, max_size=2, unique=True).map(",".join)
 _degrees = st.sampled_from(("1", "2"))
 
-# the forge options each mode reads; primitive reads none of them and only
-# the default --subfield 1.  The first option a mode reads is the one its
-# route needs.
+# values of the forge options; cli.FORGE_READS says which mode reads which
 _FORGE_OPTIONS = {
     "quotient": st.one_of(_reps, _reps, _reps, _quotients),
     "shift": _ints,
     "coset": st.one_of(_residues, _residues, _residues, _cosets),
     "subfield": st.one_of(_degrees, _degrees, _degrees, _subfields)}
-_FORGE_READS = {"divisor": ("quotient", "shift", "subfield"),
-                "extend": ("quotient", "shift", "subfield"),
-                "congruence": ("coset", "subfield"),
-                "primitive": ()}
 
 
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(
         ("cosets", "factor", "analyze", "mindist")
-        + tuple(f"forge:{mode}" for mode in _FORGE_READS)))
+        + tuple(f"forge:{mode}" for mode in cli.FORGE_READS)))
     name, _, mode = command.partition(":")
     if name == "forge" and draw(st.integers(0, 7)):
         n, q = draw(_primitive_lengths if mode == "primitive"
@@ -93,7 +88,7 @@ def _argv(draw):
         # the option the route needs seven times in eight, the mode's other
         # options half of the time, and one option it does not read (a usage
         # error) one time in eight, so most inputs reach the work
-        reads = _FORGE_READS[mode]
+        reads = cli.FORGE_READS[mode]
         options = [o for o in reads[1:] if draw(st.booleans())]
         if reads and draw(st.integers(0, 7)):
             options.insert(0, reads[0])
@@ -109,6 +104,29 @@ def _argv(draw):
     return argv
 
 
+def _prefixes(option):
+    """The strict prefixes of a long option that name no other option: "--"
+    and one letter or more, but not --n or --q (--q begins --quotient)."""
+    if not option.startswith("--"):
+        return []
+    return [option[:i] for i in range(3, len(option))
+            if option[:i] not in ("--n", "--q")]
+
+
+@st.composite
+def _cases(draw):
+    """An argv, and whether one of its long options is cut short to a strict
+    prefix (one time in eight), which must be a usage error."""
+    argv = draw(_argv())
+    cut = [i for i, arg in enumerate(argv) if _prefixes(arg.partition("=")[0])]
+    if not cut or draw(st.integers(0, 7)):
+        return argv, False
+    i = draw(st.sampled_from(cut))
+    option, eq, value = argv[i].partition("=")
+    argv[i] = draw(st.sampled_from(_prefixes(option))) + eq + value
+    return argv, True
+
+
 def _exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -119,16 +137,23 @@ def _exit_code(argv):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_argv())
-@example(argv=["forge", "--n=1", "--q=2", "--mode=primitive"])
-@example(argv=["analyze", "--n=13", "--q=3", "--field-poly=1,0",
-               "--defining-set=coset:1"])
-@example(argv=["factor", "--n=1", "--q=2", "--field-poly=89,38,0"])
-@example(argv=["factor", "--n=1", "--q=2", "--field-poly=0"])
-@example(argv=["analyze", "--n=13", "--q=3", "--field-poly=3,1:2,0:2",
-               "--defining-set=coset:1"])
-def test_cli_exits_by_contract(argv):
-    assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_COMPUTE)
+@given(case=_cases())
+@example(case=(["forge", "--n=1", "--q=2", "--mode=primitive"], False))
+@example(case=(["analyze", "--n=13", "--q=3", "--field-poly=1,0",
+                "--defining-set=coset:1"], False))
+@example(case=(["factor", "--n=1", "--q=2", "--field-poly=89,38,0"], False))
+@example(case=(["factor", "--n=1", "--q=2", "--field-poly=0"], False))
+@example(case=(["analyze", "--n=13", "--q=3", "--field-poly=3,1:2,0:2",
+                "--defining-set=coset:1"], False))
+@example(case=(["forge", "--n=15", "--q=2", "--mode=congruence", "--coset=3",
+                "--j"], True))
+def test_cli_exits_by_contract(case):
+    argv, cut = case
+    if cut:
+        assert _exit_code(argv) == cli.EXIT_USAGE
+    else:
+        assert _exit_code(argv) in (cli.EXIT_OK, cli.EXIT_USAGE,
+                                    cli.EXIT_COMPUTE)
 
 
 def _parsed(parser, argv):
@@ -142,7 +167,7 @@ def _parsed(parser, argv):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=_argv())
+@given(argv=_cases().map(lambda case: case[0]))
 @example(argv=["reproduce", "n45", "--emit=json"])
 @example(argv=["forge", "--n=15", "--q=2", "--mode=divisor", "--quotient=5",
                "--shift=1", "--verify"])

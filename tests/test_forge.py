@@ -1,9 +1,10 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
-from bchbound.codes import bose_distance
+from bchbound.codes import bose_distance, code_from_defining_set
 from bchbound.errors import NotDivisor, NotPrimitiveLength, NotRational
 from bchbound.forge import (
     bch_windows,
@@ -15,6 +16,7 @@ from bchbound.forge import (
     primitive_family,
 )
 from bchbound.modring import (
+    coset_closure,
     cyclic_runs,
     cyclotomic_cosets,
     multiplicative_order,
@@ -193,6 +195,17 @@ def test_verify_out_of_cap_is_unverified_not_a_disproof():
     rec = primitive_family(_primitive_root(5))[1]
     assert rec.verify(cap=1).verified is False
     assert rec.verify().verified
+
+
+def test_verify_raises_on_a_corrupted_record():
+    rec = primitive_family(_primitive_root(5))[1]
+    with pytest.raises(AssertionError, match="bound does not recompute"):
+        replace(rec, bch_bound=rec.bch_bound + 1).verify()
+    # the binary Golay code: Delta = 5 from coset 1, but d = 7
+    root23 = nth_root(build_field(2, 11), 23)
+    golay = code_from_defining_set(23, 2, root23, coset_closure([1], 23, 2))
+    with pytest.raises(AssertionError, match="distance does not meet"):
+        replace(rec, code=golay, bch_bound=5).verify()
 
 
 def _extension_summary(rec):

@@ -387,6 +387,13 @@ def test_is_rational_matches_int_coeffs(root15, root11_3):
             assert is_rational(s) == landed
 
 
+def test_is_rational_reads_index_0(root7):
+    # index 0 is its own q-multiple, so only values[0] = values[0]^2 tests it;
+    # x lies in GF(8) but not in GF(2)
+    values = (root7.spec.x(),) + (0,) * 6
+    assert not is_rational(Spectrum(7, root7, values))
+
+
 def test_indicator_spectrum_is_idempotent(root21):
     d = coset_closure([1, 3, 7], 21, 2)
     s = indicator_spectrum(d, root21)
