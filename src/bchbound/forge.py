@@ -74,15 +74,22 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRe
                               bch_bound=n - g.degree, generator_word=word)
 
 
-def find_shift(g: Poly, root: RootOfUnity):
-    """Smallest k for which the spectrum x^k * g inverts into F_q(n).
+def find_shift(g: Poly, root: RootOfUnity, avoid=frozenset()):
+    """Smallest k for which the spectrum x^k * g inverts into F_q(n) and the
+    support of x^k * g mod x^n - 1 misses avoid; None when no shift works.
 
     Coefficient i of that inverse is (1/n) * alpha^(-ik) * g(alpha^(-i)) and
     1/n lies in GF(p), so this is the divisor corollary's condition
-    g(alpha^j) * alpha^(jk) in GF(q) for every j.  Returns None when no shift
-    works.
+    g(alpha^j) * alpha^(jk) in GF(q) for every j.  avoid is a set of
+    positions in Z_n: certify_equality passes a*D, the zeros of the code
+    seen through a, so that the shifted divisor's word lies in that code.
+    The support test runs first, since it costs no field arithmetic.
     """
-    for k in range(root.n):
+    n = root.n
+    supp = sorted(g.support())
+    for k in range(n):
+        if not avoid.isdisjoint([(i + k) % n for i in supp]):
+            continue
         if is_rational(shifted_spectrum(g, k, root)):
             return k
     return None

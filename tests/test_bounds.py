@@ -1,17 +1,25 @@
+import itertools
 import random
 
 import pytest
 
 from bchbound.bounds import (
+    Certificate,
     apparent_distance_vec,
     certify_equality,
     code_apparent_distance,
 )
-from bchbound.codes import code_from_defining_set
+from bchbound.codes import CyclicCode, code_from_defining_set
 from bchbound.errors import BudgetExceeded
 from bchbound.galois import build_field, nth_root
-from bchbound.modring import coset_closure, cyclic_runs, cyclotomic_cosets
-from bchbound.spectral import dft, idft, is_rational
+from bchbound.modring import (
+    coset_closure,
+    cyclic_runs,
+    cyclotomic_cosets,
+    multiplicative_order,
+)
+from bchbound.polyring import divisor_enumerate, factor_xn
+from bchbound.spectral import dft, idft, is_rational, shifted_spectrum
 from bchbound.wtdist import DEFAULT_CAP, _search, min_distance
 
 
@@ -78,27 +86,61 @@ def test_certify_equality_n21(root21):
     assert cert.representative in report.optimal_reps
     # the shifted divisor's coefficient support lands in the non-zeros of
     # the code seen through the certificate's representative
-    spectrum = cert.codeword_spectrum()
+    spectrum = shifted_spectrum(cert.divisor, cert.k, root21)
     d_a = frozenset(cert.representative * i % 21 for i in code.defining_set)
     assert spectrum.support() <= frozenset(range(21)) - d_a
     assert is_rational(spectrum)
+    # its codeword vanishes at the n - Delta roots of the divisor
+    assert idft(spectrum).weight() == 5
     # and the certified equality holds
     assert min_distance(code).distance == 5
 
 
-def test_certificate_keeps_its_root(root21):
-    # the certificate reads n from the root it was found for; it takes no
-    # n of its own, so it cannot be read at the wrong length
-    code = code_from_defining_set(21, 2, root21,
-                                  coset_closure([1, 3, 7], 21, 2))
-    cert = certify_equality(code)
-    assert cert.root == root21
-    spectrum = cert.codeword_spectrum()
-    assert spectrum.n == len(spectrum.values) == 21
-    with pytest.raises(TypeError):
-        cert.codeword_spectrum(15)
-    # its codeword vanishes at the n - Delta roots of the divisor
-    assert idft(spectrum).weight() == 5
+def _certify_by_scan(code):
+    """Reference: every divisor of degree n - Delta, every optimal a and
+    every shift k, tested in that order with no shared shift scan."""
+    n = code.n
+    report = code_apparent_distance(code)
+    for g, _ in divisor_enumerate(factor_xn(n, code.root), n - report.overall):
+        supp = sorted(g.support())
+        for a in report.optimal_reps:
+            for k in range(n):
+                if not code.images[a].isdisjoint([(i + k) % n for i in supp]):
+                    continue
+                if is_rational(shifted_spectrum(g, k, code.root)):
+                    return Certificate(g, k, a)
+    return None
+
+
+def _closed_set_codes(n, q):
+    """The code of every proper coset-closed defining set mod n."""
+    root = nth_root(build_field(q, multiplicative_order(q, n)), n)
+    cosets = cyclotomic_cosets(n, q).cosets
+    return [CyclicCode(root, frozenset().union(*chosen))
+            for r in range(len(cosets))
+            for chosen in itertools.combinations(cosets, r)]
+
+
+@pytest.mark.parametrize("n,q", [(15, 2), (21, 2), (13, 3), (7, 13), (19, 7)])
+def test_certify_equality_matches_the_scan_oracle(n, q):
+    for code in _closed_set_codes(n, q):
+        assert certify_equality(code) == _certify_by_scan(code)
+
+
+def _certificate_at(n, q, reps):
+    root = nth_root(build_field(q, multiplicative_order(q, n)), n)
+    cert = certify_equality(CyclicCode(root, coset_closure(reps, n, q)))
+    return cert and (cert.k, cert.representative, cert.divisor.degree)
+
+
+def test_certificates_at_the_last_shift():
+    # both certificates need the scan to reach k = n - 1: cut one shift
+    # short, the first finds none and the second settles for (4, 8).  No
+    # binary code shows this: with GF(2) coefficients, shift n - 1 is
+    # rational only if g has a nonzero x^(n-1) coefficient, so g is
+    # 1 + x + ... + x^(n-1), whose least rational shift is 0
+    assert _certificate_at(7, 13, [1, 2]) == (6, 2, 2)
+    assert _certificate_at(19, 7, [5]) == (18, 1, 16)
 
 
 def test_certify_equality_budget():

@@ -32,7 +32,13 @@ from bchbound.modring import (
 )
 from bchbound.forge import ConstructionRecord, construct_from_divisor, primitive_family
 from bchbound.polyring import FactorList, Poly, QuotientPoly, factor_xn
-from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum
+from bchbound.spectral import (
+    Spectrum,
+    dft,
+    idft,
+    indicator_spectrum,
+    shifted_spectrum,
+)
 from bchbound.wtdist import DEFAULT_CAP, DistanceResult, _search, min_distance
 
 
@@ -267,7 +273,7 @@ def test_census_bounds_certificates_and_distances(n, q):
         assert d == delta
         # the certificate's word lies in the code seen through its root
         # change a; position i -> a*i mod n brings it back to C
-        word = idft(cert.codeword_spectrum())
+        word = idft(shifted_spectrum(cert.divisor, cert.k, code.root))
         assert word.weight() == delta
         back = [0] * n
         for i, c in enumerate(word.int_coeffs()):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from bchbound import forge
 from bchbound.codes import bose_distance, code_from_defining_set
 from bchbound.errors import NotDivisor, NotPrimitiveLength, NotRational
 from bchbound.forge import (
@@ -190,6 +191,15 @@ def test_primitive_family_counts():
             primitive_family(root)
 
 
+def test_primitive_family_checks_the_congruence_route(monkeypatch):
+    # primitivity guarantees every coset a record; a route that builds
+    # none must fail loudly, not shorten the family
+    monkeypatch.setattr(forge, "congruence_construct", lambda factors, j: None)
+    with pytest.raises(AssertionError,
+                       match="congruence route failed at coset 1"):
+        primitive_family(_primitive_root(3))
+
+
 def test_verify_out_of_cap_is_unverified_not_a_disproof():
     # its first message weighs 9, Delta = 5
     rec = primitive_family(_primitive_root(5))[1]
@@ -306,10 +316,13 @@ def _find_shift_by_evaluation(g, root):
     return None
 
 
-@pytest.mark.parametrize("n,m", [(15, 4), (21, 6)])
+# at (7, 13) the factor x^2 + 3x + 1 of C(1) has its least rational shift
+# at k = n - 1 = 6, so a scan one shift short fails that row
+@pytest.mark.parametrize("n,q,m", [(15, 2, 4), (21, 2, 6), (7, 13, 2)],
+                         ids=["15-4", "21-6", "7-13-2"])
 @pytest.mark.parametrize("subfield_degree", [1, 2])
-def test_find_shift_matches_evaluation_oracle(n, m, subfield_degree):
-    root = nth_root(build_field(2, m), n)
+def test_find_shift_matches_evaluation_oracle(n, q, m, subfield_degree):
+    root = nth_root(build_field(q, m), n)
     factors = factor_xn(n, root, subfield_degree=subfield_degree)
     for g, _ in divisor_enumerate(factors):
         assert find_shift(g, root) == _find_shift_by_evaluation(g, root)
