@@ -10,12 +10,11 @@ actually meets that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codes import CyclicCode
 from .forge import find_shift
 from .modring import cyclic_runs
 from .polyring import Poly, divisor_enumerate, factor_xn
+from .records import Record
 
 DEFAULT_DIVISOR_BUDGET = 10 ** 6
 
@@ -29,12 +28,11 @@ def apparent_distance_vec(coeffs) -> int:
                default=0) + 1
 
 
-@dataclass(frozen=True)
-class ApparentDistanceReport:
+class ApparentDistanceReport(Record):
     """The BCH bound and the representatives a in A(n) that achieve it."""
 
-    overall: int
-    optimal_reps: tuple
+    def __init__(self, overall: int, optimal_reps: tuple):
+        self.__dict__.update(overall=overall, optimal_reps=optimal_reps)
 
 
 def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
@@ -50,17 +48,15 @@ def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
     return ApparentDistanceReport(overall, optimal)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Witness that d(C) = Delta(C): a shifted divisor meeting Corollary terms.
 
     Over the code's root, shifted_spectrum(divisor, k, root) is rational and
     supported off a*D, a the representative; its idft weighs Delta.
     """
 
-    divisor: Poly
-    k: int
-    representative: int
+    def __init__(self, divisor: Poly, k: int, representative: int):
+        self.__dict__.update(divisor=divisor, k=k, representative=representative)
 
 
 def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):

@@ -9,17 +9,16 @@ BCH bound and the Bose distance) are derived once, on first use.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
 from .galois import RootOfUnity, _polmul
 from .modring import coset_closure, cyclic_runs, cyclotomic_cosets
 from .polyring import Poly, QuotientPoly, minimal_polynomial
+from .records import Record
 from .spectral import dft, idft, indicator_spectrum
 
 
-@dataclass(frozen=True)
-class CyclicCode:
+class CyclicCode(Record):
     """A cyclic code of length n over GF(q), fixed by its defining set.
 
     NotCosetClosed unless the defining set is a union of q-cosets with
@@ -27,11 +26,8 @@ class CyclicCode:
     unless it is a frozenset (code_from_defining_set converts).
     """
 
-    root: RootOfUnity
-    defining_set: frozenset
-
-    def __post_init__(self):
-        d, n, q = self.defining_set, self.n, self.q
+    def __init__(self, root: RootOfUnity, defining_set: frozenset):
+        d, n, q = defining_set, root.n, root.spec.p
         if not isinstance(d, frozenset):
             raise TypeError(f"defining set must be a frozenset, "
                             f"not {type(d).__name__}")
@@ -39,6 +35,7 @@ class CyclicCode:
             raise NotCosetClosed(f"{sorted(d)} is not a union of {q}-cosets mod {n}")
         if len(d) == n:
             raise ImproperCode("defining set is all of Z_n")
+        self.__dict__.update(root=root, defining_set=defining_set)
 
     @property
     def n(self):

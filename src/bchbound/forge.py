@@ -8,28 +8,29 @@ of a construction record into BCH codes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .codes import CyclicCode, bch_code
 from .errors import NotDivisor, NotPrimitiveLength, NotRational
 from .galois import RootOfUnity
 from .modring import cyclotomic_cosets, solve_linear_congruence, totient
 from .polyring import FactorList, Poly, QuotientPoly, factor_xn
+from .records import Record, replace
 from .spectral import idft, is_rational, shifted_spectrum
 from .wtdist import DEFAULT_CAP, min_distance
 
 
-@dataclass(frozen=True)
-class ConstructionRecord:
+class ConstructionRecord(Record):
     """A constructed code plus the claims it was built to satisfy."""
 
-    source: str  # divisor | congruence | primitive-family | extension
-    divisor: Poly
-    k: int
-    code: CyclicCode
-    bch_bound: int  # claimed Delta = d
-    generator_word: QuotientPoly  # the idft codeword that generates the code
-    verified: bool = False
+    def __init__(self, source: str, divisor: Poly, k: int, code: CyclicCode,
+                 bch_bound: int, generator_word: QuotientPoly,
+                 verified: bool = False):
+        # source: divisor | congruence | primitive-family | extension;
+        # bch_bound: the claimed Delta = d; generator_word: the idft
+        # codeword that generates the code
+        self.__dict__.update(source=source, divisor=divisor, k=k, code=code,
+                             bch_bound=bch_bound, generator_word=generator_word,
+                             verified=verified)
 
     @property
     def dimension(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from .errors import (
     InvalidSubfield,
@@ -30,6 +29,7 @@ from .errors import (
     OrderUnavailable,
     RejectedModulus,
 )
+from .records import Record
 
 # Fields bigger than this are outside the design envelope (see README).
 MAX_FIELD_ORDER = 1 << 24
@@ -420,22 +420,18 @@ class FieldSpec:
         return f"FieldSpec(GF({self.p}^{self.m}), modulus={poly_str(self.modulus)})"
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class RootOfUnity(Record):
     """A primitive n-th root of unity alpha of a field, as a packed value.
 
     Construction checks that value has order exactly n, and raises
     OrderUnavailable otherwise.
     """
 
-    spec: FieldSpec
-    value: int
-    n: int
-
-    def __post_init__(self):
-        if not self.spec._has_order(self.value, self.n):
+    def __init__(self, spec: FieldSpec, value: int, n: int):
+        if not spec._has_order(value, n):
             raise OrderUnavailable(
-                f"{self.value} does not have order {self.n} in {self.spec!r}")
+                f"{value} does not have order {n} in {spec!r}")
+        self.__dict__.update(spec=spec, value=value, n=n)
 
     @functools.cached_property
     def powers(self) -> tuple:

@@ -7,21 +7,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .errors import NotCoprime
+from .records import Record
 
 # Generous sanity cap: keeps accidental huge inputs from allocating forever.
 MAX_N = 1 << 16
 
 
-@dataclass(frozen=True)
-class CosetPartition:
+class CosetPartition(Record):
     """The q-cyclotomic cosets modulo n, keyed by minimum representative."""
 
-    n: int
-    q: int
-    cosets: tuple  # tuple of sorted tuples, ordered by representative
+    def __init__(self, n: int, q: int, cosets: tuple):
+        # cosets: a tuple of sorted tuples, ordered by representative
+        self.__dict__.update(n=n, q=q, cosets=cosets)
 
     @property
     def representatives(self):

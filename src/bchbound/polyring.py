@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
@@ -22,6 +21,7 @@ from .errors import (
 )
 from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import cyclotomic_coset, cyclotomic_cosets
+from .records import Record
 
 
 class Poly:
@@ -172,12 +172,12 @@ class Poly:
             return f"Poly(deg {self.degree} over GF({self.spec.p}^{self.spec.m}))"
 
 
-@dataclass(frozen=True)
-class QuotientPoly:
+class QuotientPoly(Record):
     """Element of L[x]/(x^n - 1): a fixed-length coefficient vector."""
 
-    spec: FieldSpec
-    coeffs: tuple  # packed int values, one per exponent 0, ..., n - 1
+    def __init__(self, spec: FieldSpec, coeffs: tuple):
+        # coeffs: packed int values, one per exponent 0, ..., n - 1
+        self.__dict__.update(spec=spec, coeffs=coeffs)
 
     @property
     def n(self):
@@ -273,13 +273,13 @@ def minimal_polynomial(root: RootOfUnity, s: int) -> Poly:
     return _coset_product(root, cyclotomic_coset(s, root.n, root.spec.p), 1)
 
 
-@dataclass(frozen=True)
-class FactorList:
+class FactorList(Record):
     """Irreducible factors of x^n - 1 over GF(p^d), with their root cosets."""
 
-    root: RootOfUnity
-    subfield_degree: int
-    factors: tuple  # tuple of (Poly, frozenset root-exponent coset)
+    def __init__(self, root: RootOfUnity, subfield_degree: int, factors: tuple):
+        # factors: a tuple of (Poly, frozenset root-exponent coset)
+        self.__dict__.update(root=root, subfield_degree=subfield_degree,
+                             factors=factors)
 
     def quotient(self, reps) -> Poly:
         """x^n - 1 divided by the factor of each coset that reps name; a

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import NotCosetClosed, RootMismatch
 from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import coset_closure, cyclotomic_cosets
 from .polyring import Poly, QuotientPoly, cyclic_shift
+from .records import Record
 
 # Column tables of at most this many bytes stay cached on their root;
 # past it, _table_transform builds them per call, a block of
@@ -42,18 +42,15 @@ from .polyring import Poly, QuotientPoly, cyclic_shift
 COLUMN_CACHE_BYTES = 1 << 24
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Evaluation vector of a polynomial at 1, alpha, ..., alpha^(n-1)."""
 
-    n: int
-    root: RootOfUnity
-    values: tuple  # packed field values, length n
-
-    def __post_init__(self):
-        if not self.n == self.root.n == len(self.values):
-            raise RootMismatch(f"n = {self.n} with {len(self.values)} values, "
-                               f"over a root of order {self.root.n}")
+    def __init__(self, n: int, root: RootOfUnity, values: tuple):
+        # values: packed field values, length n
+        if not n == root.n == len(values):
+            raise RootMismatch(f"n = {n} with {len(values)} values, "
+                               f"over a root of order {root.n}")
+        self.__dict__.update(n=n, root=root, values=values)
 
     def support(self):
         return frozenset(i for i, v in enumerate(self.values) if v)

@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
 from importlib import resources
 
 from .codes import CyclicCode, bch_code, bose_distance
@@ -26,6 +25,7 @@ from .forge import bch_windows, construct_from_quotient
 from .galois import build_field, nth_root, root_from_x
 from .modring import coset_closure, cyclotomic_cosets, multiplicative_order
 from .polyring import factor_xn
+from .records import Record, replace
 from .wtdist import min_distance
 
 TABLE_IDS = ("small-codes", "n15", "n21", "n45", "n33", "n41", "n17", "bose21")
@@ -41,18 +41,16 @@ _MIN_POLY = {
 }
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(Record):
     """One line of a reference table, in the complement (non-zero) convention."""
 
-    n: int
-    q: int
-    complement_reps: tuple
-    dimension: int
-    min_distance: int
-    bch_bound: int
-    bose_distance: int | None
-    flag: str = ""
+    def __init__(self, n: int, q: int, complement_reps: tuple, dimension: int,
+                 min_distance: int, bch_bound: int, bose_distance: int | None,
+                 flag: str = ""):
+        self.__dict__.update(n=n, q=q, complement_reps=complement_reps,
+                             dimension=dimension, min_distance=min_distance,
+                             bch_bound=bch_bound, bose_distance=bose_distance,
+                             flag=flag)
 
     def key(self):
         return (self.n, self.q, self.complement_reps)

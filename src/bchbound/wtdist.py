@@ -21,10 +21,10 @@ weights by bit_count); odd q uses the int lists of generator_rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 from .codes import CyclicCode
+from .records import Record
 
 DEFAULT_CAP = 1 << 30
 
@@ -32,13 +32,16 @@ DEFAULT_CAP = 1 << 30
 HAVE_COMPILED_KERNEL = False
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    distance: int  # weight of the witness: an upper bound on d
-    witness: tuple  # coefficient vector over GF(q), length n
-    enumerated: int  # messages visited
-    lower_bound: int
-    bch_bound: int  # the proven lower bound the search started from
+class DistanceResult(Record):
+    def __init__(self, distance: int, witness: tuple, enumerated: int,
+                 lower_bound: int, bch_bound: int):
+        # distance is the weight of the witness, an upper bound on d; the
+        # witness is a coefficient vector over GF(q), length n; enumerated
+        # counts messages visited; bch_bound is the proven lower bound the
+        # search started from
+        self.__dict__.update(distance=distance, witness=witness,
+                             enumerated=enumerated, lower_bound=lower_bound,
+                             bch_bound=bch_bound)
 
     @property
     def exhaustive(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +8,7 @@ import sys
 import pytest
 
 from bchbound import cli, tables
+from bchbound.records import replace
 
 
 def run_cli(capsys, *argv):
@@ -306,8 +306,8 @@ def test_reproduce_all_tables(capsys):
 
 def _bump_distance(rows, index):
     out = list(rows)
-    out[index] = dataclasses.replace(rows[index],
-                                     min_distance=rows[index].min_distance + 1)
+    out[index] = replace(rows[index],
+                         min_distance=rows[index].min_distance + 1)
     return out
 
 

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -26,6 +25,7 @@ from bchbound.modring import (
 )
 from bchbound.galois import build_field, nth_root
 from bchbound.polyring import Poly, divisor_enumerate, factor_xn
+from bchbound.records import replace
 from bchbound.spectral import dft
 from bchbound.wtdist import min_distance
 
