@@ -1,4 +1,4 @@
-"""Frozen value records, without the dataclasses module.
+"""Frozen value records as plain classes, with no generated code.
 
 A record class names its fields once, as the parameters of an explicit
 __init__, which runs the record's checks and stores the fields in the
@@ -7,8 +7,8 @@ __match_args__ and gives the rest: assigning or deleting an attribute
 raises AttributeError, records of one class are equal when their fields
 are, the hash is that of the field values, and the repr is
 Name(field=value, ...).  Derived values (functools.cached_property, and
-the key and hash below) are stored in __dict__ on first read and take no
-part in equality, hashing, the repr or pickling.
+the key below) are stored in __dict__ on first read and take no part in
+equality, hashing or the repr.
 """
 
 from functools import cached_property
@@ -35,22 +35,13 @@ class Record:
         """The field values, read once: a record never changes them."""
         return tuple(getattr(self, name) for name in self.__match_args__)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._key)
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key == other._key
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # pickle the fields only: a stored hash of a str field would be
-        # wrong in a process with another hash seed
-        return type(self), self._key
+        return hash(self._key)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

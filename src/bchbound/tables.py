@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import csv
-from importlib import resources
 
 from .codes import CyclicCode, bch_code, bose_distance
 from .errors import UnknownTable
@@ -147,6 +146,10 @@ def golden_rows(table_id):
     if table_id not in TABLE_IDS:
         raise UnknownTable(f"unknown table {table_id!r}; "
                            f"choose one of {', '.join(TABLE_IDS)}")
+    # imported here: from Python 3.12 on, importlib.resources imports inspect,
+    # which costs every command's start-up
+    from importlib import resources
+
     name = table_id.replace("-", "_") + ".csv"
     text = resources.files("bchbound.golden").joinpath(name).read_text()
     rows = []

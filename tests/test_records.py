@@ -161,21 +161,3 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "[]"
 
-
-def test_a_pickled_record_hashes_as_a_fresh_one():
-    # the two processes hash the record's str field under different seeds
-    src = pathlib.Path(bchbound.__file__).parents[1]
-    make = ("import pickle, sys; from bchbound.records import replace; "
-            "from bchbound.tables import golden_rows; "
-            "row = replace(golden_rows('n15')[0], flag='amended'); ")
-
-    def run(seed, code, stdin=None):
-        return subprocess.run(
-            [sys.executable, "-c", make + code], input=stdin,
-            capture_output=True, check=True, timeout=60,
-            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)).stdout
-
-    dumped = run("1", "hash(row); sys.stdout.buffer.write(pickle.dumps(row))")
-    loaded = "old = pickle.load(sys.stdin.buffer); "
-    assert run("2", loaded + "print(old == row, hash(old) == hash(row))",
-               dumped).split() == [b"True", b"True"]
