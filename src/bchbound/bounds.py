@@ -1,8 +1,9 @@
 """Apparent distance, the BCH bound of a code, and equality certificates.
 
 The apparent distance of a vector is its longest cyclic run of zero entries
-plus one; maximized over the representative root changes a in A(n) it gives
-the BCH bound of the code (runs come from modring.cyclic_runs).
+plus one (runs come from modring.cyclic_runs); maximized over the
+representative root changes a in A(n) it gives the BCH bound of the code,
+read from the longest runs of the masks of a*D (CyclicCode.longest_runs).
 certify_equality searches shifted divisors of x^n - 1, each shift found by
 forge.find_shift, for a machine-checkable witness that the minimum distance
 actually meets that bound.
@@ -42,9 +43,8 @@ def code_apparent_distance(code: CyclicCode) -> ApparentDistanceReport:
     optimal when the longest run of a*D has Delta - 1 members.
     """
     overall = code.bch_bound
-    optimal = tuple(
-        a for a, runs in code.runs.items()
-        if max((length for _, length in runs), default=0) + 1 == overall)
+    optimal = tuple(a for a, length in code.longest_runs.items()
+                    if length + 1 == overall)
     return ApparentDistanceReport(overall, optimal)
 
 
@@ -74,7 +74,7 @@ def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
     for g, _idxs in divisor_enumerate(factor_xn(code.n, code.root), target_deg,
                                       budget=budget):
         for a in report.optimal_reps:
-            k = find_shift(g, code.root, code.images[a])
+            k = find_shift(g, code.root, code.masks[a])
             if k is not None:
                 return Certificate(g, k, a)
     return None

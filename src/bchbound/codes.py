@@ -2,8 +2,9 @@
 
 A CyclicCode is its root and its defining set, checked when it is made and
 immutable, so instances can be shared freely.  Its other parts (the
-generator, the idempotent, the images a*D and their runs, which give the
-BCH bound and the Bose distance) are derived once, on first use.
+generator, the idempotent, the images a*D as n-bit masks and their longest
+runs, which give the BCH bound and bound the Bose distance's scan) are
+derived once, on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
 from .galois import RootOfUnity, _polmul
-from .modring import coset_closure, cyclic_runs, cyclotomic_cosets
+from .modring import coset_closure, cyclic_runs, cyclotomic_cosets, longest_run
 from .polyring import Poly, QuotientPoly, minimal_polynomial
 from .records import Record
 from .spectral import dft, idft, indicator_spectrum
@@ -75,23 +76,25 @@ class CyclicCode(Record):
         return e
 
     @functools.cached_property
-    def images(self) -> dict:
-        """{a: a*D} for each a in A(n): the root change alpha -> beta with
-        beta^a = alpha maps D to a*D."""
-        n = self.n
-        return {a: frozenset({a * i % n for i in self.defining_set})
-                for a in cyclotomic_cosets(n, self.q).a_set}
+    def masks(self) -> dict:
+        """{a: the n-bit mask of a*D} for each a in A(n), in A(n) order: the
+        root change alpha -> beta with beta^a = alpha maps D to a*D.  Since
+        a*C(r) = C(a*r), a*D is the union of the cosets of a*r, r running
+        over D's representatives; they are disjoint, so their masks add."""
+        n, part = self.n, cyclotomic_cosets(self.n, self.q)
+        reps = [coset[0] for coset in part.cosets if coset[0] in self.defining_set]
+        return {a: sum(part.masks[part.label[a * r % n]] for r in reps)
+                for a in part.a_set}
 
     @functools.cached_property
-    def runs(self) -> dict:
-        """{a: cyclic_runs(a*D)} for each a in A(n), scanned once."""
-        return {a: cyclic_runs(d_a, self.n) for a, d_a in self.images.items()}
+    def longest_runs(self) -> dict:
+        """{a: the longest cyclic run of a*D} for each a in A(n), scanned once."""
+        return {a: longest_run(mask, self.n) for a, mask in self.masks.items()}
 
     @functools.cached_property
     def bch_bound(self) -> int:
         """Delta(C): one more than the longest run of any a*D."""
-        return 1 + max((length for runs in self.runs.values()
-                        for _, length in runs), default=0)
+        return 1 + max(self.longest_runs.values())
 
     def contains(self, c: QuotientPoly) -> bool:
         """Membership via zeros: c(alpha^i) = 0 for every i in the set."""
@@ -119,20 +122,28 @@ def bch_code(root: RootOfUnity, delta: int, b: int) -> CyclicCode:
 def bose_distance(code: CyclicCode):
     """Largest delta' with C = B_q(alpha', delta', b'); None when not BCH.
 
-    Scans every representative a in A(n) (root change alpha -> beta with
-    beta^a = alpha maps D to a*D) and every maximal cyclic run of a*D.  A
+    Scans the representatives a in A(n) (root change alpha -> beta with
+    beta^a = alpha maps D to a*D) and the maximal cyclic runs of a*D.  A
     window's closure only grows with the window and stays inside the closed
     set a*D, so a window closing to a*D lies in a maximal run that does too:
     one closure per run is enough.  The closure of a run is the union of
     the cosets its members lie in, so it is a*D exactly when the run meets
     as many cosets as D has (multiplying by a maps cosets onto cosets).
+    Such a run has at least that many members, so the a are visited by
+    descending longest run, and the scan stops at the first a whose longest
+    run is too short to close to a*D, or too short to beat the best window
+    found so far.
     """
     n = code.n
     label = cyclotomic_cosets(n, code.q).label
     wanted = len({label[i] for i in code.defining_set})
     best = None
-    for runs in code.runs.values():
-        for b, length in runs:
+    longest = code.longest_runs
+    for a in sorted(longest, key=longest.get, reverse=True):
+        if longest[a] < max(wanted, best or 0):
+            break
+        d_a = {a * i % n for i in code.defining_set}
+        for b, length in cyclic_runs(d_a, n):
             if best is not None and length < best:
                 continue  # cannot beat the best window found so far
             if len({label[(b + j) % n] for j in range(length)}) == wanted:

@@ -12,7 +12,7 @@ import math
 from .codes import CyclicCode, bch_code
 from .errors import NotDivisor, NotPrimitiveLength, NotRational
 from .galois import RootOfUnity
-from .modring import cyclotomic_cosets, solve_linear_congruence, totient
+from .modring import cyclic_runs, cyclotomic_cosets, solve_linear_congruence, totient
 from .polyring import FactorList, Poly, QuotientPoly, factor_xn
 from .records import Record, replace
 from .spectral import idft, is_rational, shifted_spectrum
@@ -75,21 +75,23 @@ def construct_from_divisor(g: Poly, k: int, root: RootOfUnity) -> ConstructionRe
                               bch_bound=n - g.degree, generator_word=word)
 
 
-def find_shift(g: Poly, root: RootOfUnity, avoid=frozenset()):
+def find_shift(g: Poly, root: RootOfUnity, avoid: int = 0):
     """Smallest k for which the spectrum x^k * g inverts into F_q(n) and the
     support of x^k * g mod x^n - 1 misses avoid; None when no shift works.
 
     Coefficient i of that inverse is (1/n) * alpha^(-ik) * g(alpha^(-i)) and
     1/n lies in GF(p), so this is the divisor corollary's condition
-    g(alpha^j) * alpha^(jk) in GF(q) for every j.  avoid is a set of
-    positions in Z_n: certify_equality passes a*D, the zeros of the code
-    seen through a, so that the shifted divisor's word lies in that code.
-    The support test runs first, since it costs no field arithmetic.
+    g(alpha^j) * alpha^(jk) in GF(q) for every j.  avoid is an n-bit mask of
+    positions in Z_n: certify_equality passes the mask of a*D, the zeros of
+    the code seen through a, so that the shifted divisor's word lies in that
+    code.  The support test runs first, since it costs no field arithmetic.
     """
     n = root.n
-    supp = sorted(g.support())
+    supp = 0
+    for i in g.support():
+        supp |= 1 << (i % n)
     for k in range(n):
-        if not avoid.isdisjoint([(i + k) % n for i in supp]):
+        if (supp << k | supp >> (n - k)) & avoid:  # x^k * g's support, rotated
             continue
         if is_rational(shifted_spectrum(g, k, root)):
             return k
@@ -158,14 +160,14 @@ def primitive_family(root: RootOfUnity):
 def bch_windows(rec: ConstructionRecord):
     """Starts b of the BCH windows the record's code anchors.
 
-    Each maximal run of delta - 1 members of the defining set (code.runs
-    under a = 1), delta the record's bound, is a window whose coset closure
-    defines the BCH code B_q(alpha, delta, b), b the run start.  The window
-    the divisor anchors, b = deg(g) + k + 1, comes first, then ascending b.
+    Each maximal run of delta - 1 members of the defining set, delta the
+    record's bound, is a window whose coset closure defines the BCH code
+    B_q(alpha, delta, b), b the run start.  The window the divisor anchors,
+    b = deg(g) + k + 1, comes first, then ascending b.
     """
     code = rec.code
     anchored = (rec.divisor.degree + rec.k + 1) % code.n
-    return sorted((b for b, length in code.runs[1 % code.n]
+    return sorted((b for b, length in cyclic_runs(code.defining_set, code.n)
                    if length == rec.bch_bound - 1),
                   key=lambda b: (b != anchored, b))
 

@@ -1,4 +1,8 @@
-"""Arithmetic in Z_n: q-cyclotomic cosets, their labels, A(n), orders.
+"""Arithmetic in Z_n: q-cyclotomic cosets, their labels and masks, A(n),
+orders and cyclic runs.
+
+A subset S of Z_n is read as a set or as an n-bit mask, bit i set for each
+i in S.
 
 All values are immutable after construction and safe to share.
 """
@@ -34,6 +38,11 @@ class CosetPartition(Record):
             for i in coset:
                 label[i] = index
         return tuple(label)
+
+    @functools.cached_property
+    def masks(self) -> tuple:
+        """masks[i] = the n-bit mask of cosets[i]."""
+        return tuple(sum(1 << i for i in coset) for coset in self.cosets)
 
     @functools.cached_property
     def a_set(self) -> tuple:
@@ -108,7 +117,8 @@ def cyclic_runs(members, n: int) -> list:
     """(start, length) of each maximal cyclic run b, b+1, ... in a subset of Z_n.
 
     Listed by start; a run may wrap past n - 1.  Z_n itself has no run start.
-    The one run scan behind the apparent distance and the Bose distance.
+    The run scan behind the apparent distance of a vector, the Bose distance
+    and the BCH windows of a code.
     """
     s = {i % n for i in members}
     out = []
@@ -116,10 +126,27 @@ def cyclic_runs(members, n: int) -> list:
         if (b - 1) % n in s:
             continue
         length = 1
-        while (b + length) % n in s:
+        while length < n and (b + length) % n in s:
             length += 1
         out.append((b, length))
     return out
+
+
+def longest_run(mask: int, n: int) -> int:
+    """Length of the longest cyclic run of set bits in an n-bit mask; n when
+    every bit is set, 0 for the empty mask.
+
+    After k rounds of m &= rot(m, 1), bit i is set exactly when bits i, ...,
+    i + k (mod n) all are, so the longest run has as many members as the
+    rounds it takes to empty m.  The all-ones mask never empties; at most n
+    rounds run.
+    """
+    full = (1 << n) - 1
+    length = 0
+    while mask and length < n:
+        mask &= (mask >> 1 | mask << (n - 1)) & full
+        length += 1
+    return length
 
 
 def solve_linear_congruence(a: int, b: int, m: int):

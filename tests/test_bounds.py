@@ -104,8 +104,9 @@ def _certify_by_scan(code):
     for g, _ in divisor_enumerate(factor_xn(n, code.root), n - report.overall):
         supp = sorted(g.support())
         for a in report.optimal_reps:
+            d_a = frozenset(a * i % n for i in code.defining_set)
             for k in range(n):
-                if not code.images[a].isdisjoint([(i + k) % n for i in supp]):
+                if not d_a.isdisjoint([(i + k) % n for i in supp]):
                     continue
                 if is_rational(shifted_spectrum(g, k, code.root)):
                     return Certificate(g, k, a)

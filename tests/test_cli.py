@@ -153,15 +153,15 @@ def test_mindist_computes_the_bch_bound_once(capsys, monkeypatch):
         if (name.startswith("bchbound")
                 and getattr(module, "code_apparent_distance", None) is original):
             monkeypatch.setattr(module, "code_apparent_distance", bound)
-    monkeypatch.setattr(codes, "cyclic_runs",
-                        counting("runs", modring.cyclic_runs))
+    monkeypatch.setattr(codes, "longest_run",
+                        counting("runs", modring.longest_run))
     code, out, _ = run_cli(capsys, "mindist", "--n", "127", "--q", "2",
                            "--defining-set", "coset:1,3,5", "--json")
     payload = json.loads(out)
     assert (code, payload["bch_bound"], payload["min_distance"]) == (0, 7, 7)
     assert calls["bound"] == 1
-    # one scan of a*D for each a in A(127), shared by the bound, the Bose
-    # distance and the search's starting bound
+    # one scan of the mask of a*D for each a in A(127), shared by the bound,
+    # the Bose distance and the search's starting bound
     a_set = modring.cyclotomic_cosets(127, 2).a_set
     assert calls["runs"] == len(a_set) == 18
 

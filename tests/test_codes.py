@@ -6,6 +6,8 @@ import pkgutil
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bchbound
 from bchbound.bounds import certify_equality, code_apparent_distance
@@ -143,10 +145,10 @@ def test_parts_are_derived_once(root21):
     code = _example_code(root21)
     assert code.generator is code.generator
     assert code.idempotent is code.idempotent
-    assert code.images == {a: frozenset(a * i % 21 for i in code.defining_set)
-                           for a in (1, 5)}
-    assert code.runs == {a: cyclic_runs(d_a, 21)
-                         for a, d_a in code.images.items()}
+    assert code.masks is code.masks
+    assert code.masks == {a: sum(1 << (a * i % 21) for i in code.defining_set)
+                          for a in (1, 5)}
+    assert code.longest_runs is code.longest_runs
 
 
 def test_zero_defining_set_gives_full_space(root21):
@@ -328,6 +330,31 @@ def test_shared_parts_match_references(n, q):
         assert (report.overall, report.optimal_reps) == (
             _apparent_distance_reference(code))
         assert bose_distance(code) == _bose_distance_reference(code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_masks_match_references_at_long_lengths(data):
+    # masks span several 64-bit words here, and (7, 13) and (19, 7) are odd q
+    n, q = data.draw(st.sampled_from([(255, 2), (511, 2), (1023, 2), (121, 3),
+                                      (242, 3), (7, 13), (19, 7)]))
+    part = cyclotomic_cosets(n, q)
+    kind = data.draw(st.sampled_from(["cosets", "complement", "bch"]))
+    if kind == "bch":  # a window's closure seen through a: a BCH code
+        b = data.draw(st.integers(0, n - 1))
+        length = data.draw(st.integers(1, n // 2))
+        a = data.draw(st.sampled_from(part.a_set))
+        d = frozenset(a * i % n for i in coset_closure(range(b, b + length), n, q))
+    else:
+        d = coset_closure(data.draw(st.sets(st.sampled_from(part.representatives),
+                                            max_size=6)), n, q)
+        if kind == "complement":
+            d = frozenset(range(n)) - d
+    assume(len(d) < n)
+    code = CyclicCode(nth_root(build_field(q, part.order), n), d)
+    report = code_apparent_distance(code)
+    assert (code.bch_bound, report.optimal_reps) == _apparent_distance_reference(code)
+    assert bose_distance(code) == _bose_distance_reference(code)
 
 
 @pytest.mark.parametrize("n,q", [(255, 2), (341, 2), (511, 2), (1023, 2),

@@ -11,6 +11,7 @@ from bchbound.modring import (
     cyclic_runs,
     cyclotomic_coset,
     cyclotomic_cosets,
+    longest_run,
     multiplicative_order,
     solve_linear_congruence,
     totient,
@@ -135,3 +136,30 @@ def _brute_force_runs(members, n):
 def test_cyclic_runs_matches_brute_force(case):
     n, members = case
     assert cyclic_runs(members, n) == _brute_force_runs(members, n)
+
+
+def _brute_force_longest_run(mask, n):
+    """The longest window b, ..., b + length - 1 (mod n) of set bits."""
+    return max((length for b in range(n) for length in range(n + 1)
+                if all(mask >> ((b + j) % n) & 1 for j in range(length))),
+               default=0)
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+@example((1, 0))
+@example((1, 1))
+@example((64, (1 << 64) - 1))
+@example((70, (1 << 70) - 1))
+@example((70, (1 << 70) - 1 - (1 << 35)))  # one gap: a run of 69 wraps
+@example((65, 1 | 1 << 64))  # a run of 2 wraps past bit 64
+@example((67, 0b11 | 0b111 << 62))  # a run of 3 crosses bit 63
+def test_longest_run_matches_brute_force(case):
+    n, mask = case
+    assert longest_run(mask, n) == _brute_force_longest_run(mask, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 63, 64, 65, 1023])
+def test_longest_run_ends_on_every_mask(n):
+    assert longest_run((1 << n) - 1, n) == n
+    assert longest_run(0, n) == 0
