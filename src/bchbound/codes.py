@@ -10,9 +10,10 @@ derived once, on first use.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .errors import ImproperCode, NotCosetClosed, RootMismatch
-from .galois import RootOfUnity, _polmul
+from .galois import RootOfUnity
 from .modring import coset_closure, cyclic_runs, cyclotomic_cosets, longest_run
 from .polyring import Poly, QuotientPoly, minimal_polynomial
 from .records import Record
@@ -60,13 +61,13 @@ class CyclicCode(Record):
     @functools.cached_property
     def generator(self) -> Poly:
         """The product of the minimal polynomials of D's cosets; they lie in
-        GF(p)[x], so they are multiplied as integers mod p."""
-        coeffs = [1]
-        for coset in cyclotomic_cosets(self.n, self.q).cosets:
-            if coset[0] in self.defining_set:
-                factor = minimal_polynomial(self.root, coset[0])
-                coeffs = _polmul(coeffs, factor.coeffs, self.q)
-        return Poly(self.spec, coeffs)
+        GF(p)[x], so Poly multiplies them as integers mod p."""
+        return functools.reduce(
+            operator.mul,
+            (minimal_polynomial(self.root, coset[0])
+             for coset in cyclotomic_cosets(self.n, self.q).cosets
+             if coset[0] in self.defining_set),
+            Poly.one(self.spec))
 
     @functools.cached_property
     def idempotent(self) -> QuotientPoly:

@@ -111,6 +111,22 @@ def construct_from_quotient(factors: FactorList, reps,
     return construct_from_divisor(g, k, root)
 
 
+def quotient_at_root(factors: FactorList, j: int) -> int:
+    """g(alpha^j), packed, for g = (x^n - 1)/h and h the factor of j's coset.
+
+    Read off h, not g: differentiating x^n - 1 = h*g at the root
+    beta = alpha^j of h gives n*beta^(n-1) = h'(beta)*g(beta), so
+    g(beta) = n*beta^(-1)/h'(beta), one evaluation of degree below deg h.
+    h'(beta) != 0, since p does not divide n and x^n - 1 has no repeated
+    root.
+    """
+    root = factors.root
+    spec = root.spec
+    h_prime = factors.factor_for_coset_rep(j).derivative()
+    return spec.mul(spec.mul(root.n % spec.p, root.pow(-j)),
+                    spec.inv(h_prime.eval(root.pow(j))))
+
+
 def congruence_construct(factors: FactorList, j: int):
     """Criterion route: g = (x^n - 1)/h, h the factor of j's coset, with
     g(alpha^j) a suitable root power.
@@ -123,8 +139,7 @@ def congruence_construct(factors: FactorList, j: int):
     """
     root = factors.root
     n, q = root.n, root.spec.p
-    g = factors.quotient([j])
-    t = root.dlog(g.eval(root.pow(j)))
+    t = root.dlog(quotient_at_root(factors, j))
     if t is None:
         return None
     gamma = math.gcd(q - 1, n)
@@ -132,6 +147,7 @@ def congruence_construct(factors: FactorList, j: int):
     k = solve_linear_congruence(scale * j, (-scale * t) % (n // gamma), n // gamma)
     if k is None:
         return None
+    g = factors.quotient([j])
     return replace(construct_from_divisor(g, k, root), source="congruence")
 
 

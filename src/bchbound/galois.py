@@ -82,6 +82,31 @@ def _polmod(a, f, p):
     return a
 
 
+def _poldivmod(a, f, p):
+    """Quotient and remainder of a by f over GF(p), both trimmed; f is a
+    trimmed nonzero list.
+
+    Each step clears the top term of the remainder with the nonzero lower
+    terms of f alone: a divisor such as x^n - 1 costs one update per
+    quotient term, not n.
+    """
+    df = len(f) - 1
+    if len(a) <= df:
+        return [], _trim(list(a))
+    inv_lead = pow(f[-1], -1, p)
+    lower = [(i, p - fi) for i, fi in enumerate(f) if fi]  # -f_i
+    lower.pop()  # the leading term: each step pops it off rem instead
+    rem = list(a)
+    quot = [0] * (len(rem) - df)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem.pop() * inv_lead % p
+        if c:
+            quot[shift] = c
+            for i, fi in lower:
+                rem[i + shift] = (rem[i + shift] + c * fi) % p
+    return _trim(quot), _trim(rem)
+
+
 def _polgcd(a, b, p):
     a, b = list(a), list(b)
     while b:

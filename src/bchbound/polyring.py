@@ -1,10 +1,14 @@
 """Polynomials over an extension field and the quotient ring F[x]/(x^n - 1).
 
-Everything is computed with coefficients in the big field L; base-field or
-intermediate-field polynomials are recognized through the Frobenius-fixed
-subfield test rather than by carrying separate coefficient types.  The one
-exception is a binary minimal polynomial, which is read off a GF(2)-linear
-dependency among the packed powers of its root, with no arithmetic in L.
+A Poly holds packed values of the big field L, and one type serves every
+subfield.  GF(p) packs as the integers 0, ..., p - 1, so when every
+coefficient of both operands is below p, a product or a division runs on
+the coefficient lists as integers mod p (galois._polmul, _poldivmod); every
+other polynomial, such as a factor over GF(p^d) for d > 1, is computed
+with FieldSpec arithmetic.  Intermediate-field polynomials are recognized
+through the Frobenius-fixed subfield test.  A binary minimal polynomial is
+read off a GF(2)-linear dependency among the packed powers of its root,
+with no arithmetic in L.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (
     RootMismatch,
     ZeroPolynomial,
 )
-from .galois import FieldSpec, RootOfUnity, poly_str
+from .galois import FieldSpec, RootOfUnity, _poldivmod, _polmul, poly_str
 from .modring import cyclotomic_coset, cyclotomic_cosets
 from .records import Record
 
@@ -30,7 +34,7 @@ class Poly:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        # coeffs are packed field values, not prime-field integers
+        # coeffs are packed field values; GF(p) packs as 0, ..., p - 1
         vals = list(coeffs)
         while vals and vals[-1] == 0:
             vals.pop()
@@ -85,10 +89,17 @@ class Poly:
                               other.coeffs[i] if i < len(other.coeffs) else 0)
                         for i in range(n)])
 
+    def _in_prime_field(self, other):
+        """True iff every coefficient of both operands lies in GF(p)."""
+        p = self.spec.p
+        return max(self.coeffs, default=0) < p and max(other.coeffs, default=0) < p
+
     def __mul__(self, other):
         s = self.spec
         if self.is_zero() or other.is_zero():
             return Poly.zero(s)
+        if self._in_prime_field(other):
+            return Poly(s, _polmul(self.coeffs, other.coeffs, s.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -101,19 +112,29 @@ class Poly:
         s = self.spec
         return Poly(s, [s.mul(a, c) for a in self.coeffs])
 
+    def derivative(self):
+        """The formal derivative: coefficient i is (i + 1) times f_(i+1)."""
+        s = self.spec
+        return Poly(s, [s.mul((i + 1) % s.p, c)
+                        for i, c in enumerate(self.coeffs[1:])])
+
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroPolynomial("division by zero polynomial")
         s = self.spec
+        if self._in_prime_field(other):
+            quot, rem = _poldivmod(self.coeffs, other.coeffs, s.p)
+            return Poly(s, quot), Poly(s, rem)
         rem = list(self.coeffs)
         dd = other.degree
         inv_lead = s.inv(other.coeffs[-1])
+        terms = [(i, oc) for i, oc in enumerate(other.coeffs) if oc]
         quot = [0] * max(0, len(rem) - dd)
         while len(rem) - 1 >= dd and rem:
             c = s.mul(rem[-1], inv_lead)
             shift = len(rem) - 1 - dd
             quot[shift] = c
-            for i, oc in enumerate(other.coeffs):
+            for i, oc in terms:
                 rem[i + shift] = s.sub(rem[i + shift], s.mul(c, oc))
             while rem and rem[-1] == 0:
                 rem.pop()

@@ -147,6 +147,19 @@ def test_every_coset_member_gives_the_same_record():
                             q, n, d, j)
 
 
+@pytest.mark.parametrize("n,q,d", [(127, 2, 1), (63, 2, 1), (26, 3, 1),
+                                   (40, 3, 1), (63, 2, 2)])
+def test_quotient_at_root_matches_horner_on_the_quotient(n, q, d):
+    # g(alpha^j) = n alpha^(-j) / h'(alpha^j) against Horner on g itself,
+    # at every member of every coset
+    root = nth_root(build_field(q, multiplicative_order(q, n)), n)
+    factors = factor_xn(n, root, subfield_degree=d)
+    for _, coset in factors.factors:
+        for j in coset:
+            g = factors.quotient([j])
+            assert forge.quotient_at_root(factors, j) == g.eval(root.pow(j)), j
+
+
 def test_congruence_is_solvable_exactly_when_gcd_divides_t():
     # the route's solvability test is solve_linear_congruence's own: with
     # gamma = gcd(q - 1, n), N = n / gamma and s = (q - 1) / gamma, gcd(s, N)

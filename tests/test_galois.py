@@ -17,8 +17,8 @@ from bchbound.galois import (
     MAX_FIELD_ORDER,
     TABLE_MAX_ORDER,
     RootOfUnity,
+    _poldivmod,
     _polmod,
-    _polmul,
     build_field,
     default_modulus,
     exceeds_field_cap,
@@ -30,9 +30,10 @@ from bchbound.galois import (
 )
 
 # ---------------------------------------------------------------------------
-# Reference arithmetic: schoolbook _polmul + _polmod on decoded digits.  It
-# shares no code with FieldSpec's arithmetic (tables or direct), so it is the
-# oracle for both here and for the transforms in test_spectral.
+# Reference arithmetic: a nested-loop product and a long-division reduction
+# of decoded digits, both written out here.  It shares no code with
+# FieldSpec's arithmetic (tables or direct), so it is the oracle for both
+# here and for the transforms in test_spectral.
 # ---------------------------------------------------------------------------
 
 def _digits(spec, v):
@@ -64,10 +65,29 @@ def ref_sub(spec, a, b):
     return ref_add(spec, a, ref_neg(spec, b))
 
 
+def _ref_polmul(a, b, p):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _ref_polrem(a, f, p):
+    """The remainder of a by f: long division, top term first."""
+    a, df = list(a), len(f) - 1
+    inv_lead = pow(f[-1], -1, p)
+    for top in reversed(range(df, len(a))):
+        c = a[top] * inv_lead % p
+        for i, fi in enumerate(f):
+            a[top - df + i] = (a[top - df + i] - c * fi) % p
+    return a[:df]
+
+
 @functools.lru_cache(maxsize=None)
 def ref_mul(spec, a, b):
-    prod = _polmul(_digits(spec, a), _digits(spec, b), spec.p)
-    return _pack(spec, _polmod(prod, list(spec.modulus), spec.p))
+    prod = _ref_polmul(_digits(spec, a), _digits(spec, b), spec.p)
+    return _pack(spec, _ref_polrem(prod, spec.modulus, spec.p))
 
 
 def ref_power(spec, a, e):
@@ -464,3 +484,16 @@ def test_poly_str():
     assert poly_str((0, 1)) == "x"
     assert poly_str((1,)) == "1"
 
+
+def test_poldivmod_edge_cases():
+    # a divisor of degree 0 divides every coefficient by the constant
+    assert _poldivmod([1, 2, 3], [2], 5) == ([3, 1, 4], [])
+    # a dividend shorter than the divisor is its own remainder
+    assert _poldivmod([1, 1], [1, 0, 1], 2) == ([], [1, 1])
+    assert _poldivmod([], [1, 1], 3) == ([], [])
+    # a non-monic divisor over GF(7): x^3 + 2 = (5x^2 + 3x + 6)(3x + 1) + 3
+    assert _poldivmod([2, 0, 0, 1], [1, 3], 7) == ([6, 3, 5], [3])
+    # a divisor with zero terms: x^6 - 1 = (x^3 + 1)(x^3 - 1) over GF(3)
+    assert _poldivmod([2, 0, 0, 0, 0, 0, 1], [2, 0, 0, 1], 3) == ([1, 0, 0, 1], [])
+    # _polmod, FieldSpec's reduction, leaves the same remainder
+    assert _polmod([2, 0, 0, 1], [1, 3], 7) == [3]

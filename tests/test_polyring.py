@@ -310,3 +310,70 @@ def test_int_coeffs_leak():
     padded = QuotientPoly(spec, (0, spec.x(), 0, 1, 0, 0))
     assert padded.support() == padded.to_poly().support() == {1, 3}
     assert padded.weight() == padded.to_poly().weight() == 2
+
+
+# Reference ring arithmetic on coefficient lists, with FieldSpec's add, sub,
+# mul and inv only: no integer shortcut for GF(p), no skipped terms.
+def _ref_trim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_mul(spec, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = spec.add(out[i + j], spec.mul(x, y))
+    return _ref_trim(out)
+
+
+def _ref_divmod(spec, a, b):
+    rem, quot = list(a), [0] * max(0, len(a) - len(b) + 1)
+    inv_lead = spec.inv(b[-1])
+    for shift in reversed(range(len(quot))):
+        c = quot[shift] = spec.mul(rem[shift + len(b) - 1], inv_lead)
+        for i, y in enumerate(b):
+            rem[shift + i] = spec.sub(rem[shift + i], spec.mul(c, y))
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_gcd(spec, a, b):
+    while b:
+        a, b = b, _ref_divmod(spec, a, b)[1]
+    if not a:
+        return a
+    inv_lead = spec.inv(a[-1])
+    return tuple(spec.mul(c, inv_lead) for c in a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_poly_arithmetic_matches_the_field_reference(data):
+    # GF(p)[x] operands take the integer path; one coefficient outside GF(p)
+    # sends the same operation down the FieldSpec path
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13]))
+    spec = build_field(p, 2)
+    ints = st.lists(st.integers(0, p - 1), max_size=12)
+    a, b = data.draw(ints), data.draw(ints)
+    if data.draw(st.booleans()):
+        a = a + [0] * (1 + data.draw(st.integers(0, 12)) - len(a))
+        a[data.draw(st.integers(0, len(a) - 1))] = data.draw(
+            st.integers(p, p * p - 1))
+        if data.draw(st.booleans()):
+            a, b = b, a
+    a, b = Poly(spec, a), Poly(spec, b)
+    assert (a * b).coeffs == _ref_mul(spec, a.coeffs, b.coeffs)
+    if not b.is_zero():
+        quot, rem = a.divmod(b)
+        assert (quot.coeffs, rem.coeffs) == _ref_divmod(spec, a.coeffs, b.coeffs)
+    assert a.gcd(b).coeffs == _ref_gcd(spec, a.coeffs, b.coeffs)
+
+
+def test_derivative():
+    spec = build_field(3, 2)
+    # (2 + x + x^3 + 2x^4 + x^5)' = 1 + 3x^2 + 8x^3 + 5x^4 = 1 + 2x^3 + 2x^4
+    assert Poly(spec, [2, 1, 0, 1, 2, 1]).derivative() == Poly(spec, [1, 0, 0, 2, 2])
+    assert Poly(spec, [spec.x()]).derivative().is_zero()
+    assert Poly(spec, [0, spec.x()]).derivative() == Poly(spec, [spec.x()])

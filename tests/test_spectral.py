@@ -30,8 +30,8 @@ def _horner(coeffs, root, sign):
 
     The library splits L-valued input into prime-field coordinate vectors
     and computes with FieldSpec's tables; this O(n^2) evaluation shares
-    neither and runs on the reference arithmetic of test_galois (schoolbook
-    _polmul + _polmod on digits), so it is the oracle for both.
+    neither and runs on the reference arithmetic of test_galois (a nested-loop
+    product and long division on digits), so it is the oracle for both.
     """
     spec, z = root.spec, root.value
     out = []
