@@ -7,8 +7,6 @@ of a construction record into BCH codes.
 
 from __future__ import annotations
 
-import math
-
 from .codes import CyclicCode, bch_code
 from .errors import NotDivisor, NotPrimitiveLength, NotRational
 from .galois import RootOfUnity
@@ -128,23 +126,21 @@ def quotient_at_root(factors: FactorList, j: int) -> int:
 
 
 def congruence_construct(factors: FactorList, j: int):
-    """Criterion route: g = (x^n - 1)/h, h the factor of j's coset, with
-    g(alpha^j) a suitable root power.
+    """Criterion route: g = (x^n - 1)/h, h the factor of j's coset, at the
+    least shift k with g(alpha^j) * alpha^(jk) in GF(q).
 
-    j stands for its whole coset: every member gives the same record, since
-    g(alpha^(Q*j)) = g(alpha^j)^Q for Q = q^d, and multiplying the
-    congruence by Q, a unit mod n/gcd(q - 1, n), keeps its least k.
-    Returns None when the hypothesis fails: g(alpha^j) is not in <alpha>, or
-    the congruence for the shift k has no solution.
+    That element lies in GF(q) iff its (q - 1)-th power is 1, i.e. iff
+    g(alpha^j)^(q - 1) = alpha^t and (q - 1)*j*k = -t (mod n).  This is the
+    closed form of find_shift(factors.quotient([j]), root): g vanishes off
+    j's coset, and g(alpha^(Q*j)) = g(alpha^j)^Q for Q = q^d, so j's
+    condition is the whole spectrum's.  The route returns None exactly when
+    find_shift does, and otherwise builds at find_shift's k.  j stands for
+    its coset: Q is a unit mod n, so it scales t and the congruence alike.
     """
     root = factors.root
-    n, q = root.n, root.spec.p
-    t = root.dlog(quotient_at_root(factors, j))
-    if t is None:
-        return None
-    gamma = math.gcd(q - 1, n)
-    scale = (q - 1) // gamma
-    k = solve_linear_congruence(scale * j, (-scale * t) % (n // gamma), n // gamma)
+    q = root.spec.p
+    t = root.dlog(root.spec.power(quotient_at_root(factors, j), q - 1))
+    k = None if t is None else solve_linear_congruence((q - 1) * j, -t, root.n)
     if k is None:
         return None
     g = factors.quotient([j])

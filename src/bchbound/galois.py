@@ -69,19 +69,6 @@ def _polmul(a, b, p):
     return _trim(out)
 
 
-def _polmod(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and a:
-        shift = len(a) - 1 - df
-        c = a[-1] * inv_lead % p
-        for i, fi in enumerate(f):
-            a[i + shift] = (a[i + shift] - c * fi) % p
-        _trim(a)
-    return a
-
-
 def _poldivmod(a, f, p):
     """Quotient and remainder of a by f over GF(p), both trimmed; f is a
     trimmed nonzero list.
@@ -110,7 +97,7 @@ def _poldivmod(a, f, p):
 def _polgcd(a, b, p):
     a, b = list(a), list(b)
     while b:
-        a, b = b, _polmod(a, b, p)
+        a, b = b, _poldivmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
@@ -119,11 +106,11 @@ def _polgcd(a, b, p):
 
 def _polpowmod(base, e, f, p):
     result = [1]
-    base = _polmod(base, f, p)
+    base = _poldivmod(base, f, p)[1]
     while e:
         if e & 1:
-            result = _polmod(_polmul(result, base, p), f, p)
-        base = _polmod(_polmul(base, base, p), f, p)
+            result = _poldivmod(_polmul(result, base, p), f, p)[1]
+        base = _poldivmod(_polmul(base, base, p), f, p)[1]
         e >>= 1
     return result
 
@@ -362,8 +349,8 @@ class FieldSpec:
         log = self._log
         if log is not None:
             return self._exp[log[a] + log[b]] if a and b else 0
-        return self.encode(_polmod(_polmul(self.decode(a), self.decode(b),
-                                           self.p), self.modulus, self.p))
+        return self.encode(_poldivmod(_polmul(self.decode(a), self.decode(b),
+                                              self.p), self.modulus, self.p)[1])
 
     def power(self, a: int, e: int) -> int:
         if self._log is not None:

@@ -128,8 +128,8 @@ def test_congruence_route_fails_off_the_root_powers():
 
 
 def test_every_coset_member_gives_the_same_record():
-    # g(alpha^(Q*j)) = g(alpha^j)^Q for Q = q^d, and Q is a unit mod
-    # n/gcd(q - 1, n), so j's congruence and Q*j's have the same least k
+    # g(alpha^(Q*j)) = g(alpha^j)^Q for Q = q^d, and Q is a unit mod n, so
+    # j's congruence and Q*j's have the same least k; that k is find_shift's
     for q in (2, 3, 5):
         for n in range(1, 46):
             if math.gcd(n, q) != 1:
@@ -142,6 +142,8 @@ def test_every_coset_member_gives_the_same_record():
                 factors = factor_xn(n, root, subfield_degree=d)
                 for coset in cyclotomic_cosets(n, q ** d).cosets:
                     rep = congruence_construct(factors, coset[0])
+                    k = find_shift(factors.quotient([coset[0]]), root)
+                    assert (None if rep is None else rep.k) == k, (q, n, d, coset)
                     for j in coset[1:] + (coset[0] + n,):
                         assert congruence_construct(factors, j) == rep, (
                             q, n, d, j)
@@ -160,21 +162,19 @@ def test_quotient_at_root_matches_horner_on_the_quotient(n, q, d):
             assert forge.quotient_at_root(factors, j) == g.eval(root.pow(j)), j
 
 
-def test_congruence_is_solvable_exactly_when_gcd_divides_t():
-    # the route's solvability test is solve_linear_congruence's own: with
-    # gamma = gcd(q - 1, n), N = n / gamma and s = (q - 1) / gamma, gcd(s, N)
-    # is 1, so s*j*k = -s*t (mod N) is solvable iff gcd(j, N) divides t
-    for q in (2, 3, 5, 7, 11):
-        for n in range(1, 120):
-            if math.gcd(n, q) != 1:
-                continue
-            gamma = math.gcd(q - 1, n)
-            big_n, s = n // gamma, (q - 1) // gamma
-            for j in range(n):
-                g = math.gcd(j, big_n)
-                for t in range(n):
-                    k = solve_linear_congruence(s * j, -s * t % big_n, big_n)
-                    assert (k is not None) == (t % g == 0), (q, n, j, t)
+def test_congruence_route_builds_odd_q_rational_shifts():
+    # the route tests g(alpha^j)^(q - 1), not g(alpha^j), against <alpha>:
+    # at (13, 3) g(alpha) is no power of alpha, yet g(alpha) * alpha^7 lies
+    # in GF(3); at (5, 3), g = 1 + x + ... + x^4 is rational at k = 0
+    root = nth_root(build_field(3, 3), 13)
+    factors = factor_xn(13, root)
+    rec = congruence_construct(factors, 1)
+    assert rec.k == 7
+    assert rec == replace(construct_from_quotient(factors, [1]),
+                          source="congruence")
+    root = nth_root(build_field(3, 4), 5)
+    rec = congruence_construct(factor_xn(5, root), 0)
+    assert rec.k == 0
 
 
 def test_divisor_route_rejects_a_non_divisor(root15):

@@ -18,7 +18,6 @@ from bchbound.galois import (
     TABLE_MAX_ORDER,
     RootOfUnity,
     _poldivmod,
-    _polmod,
     build_field,
     default_modulus,
     exceeds_field_cap,
@@ -495,5 +494,3 @@ def test_poldivmod_edge_cases():
     assert _poldivmod([2, 0, 0, 1], [1, 3], 7) == ([6, 3, 5], [3])
     # a divisor with zero terms: x^6 - 1 = (x^3 + 1)(x^3 - 1) over GF(3)
     assert _poldivmod([2, 0, 0, 0, 0, 0, 1], [2, 0, 0, 1], 3) == ([1, 0, 0, 1], [])
-    # _polmod, FieldSpec's reduction, leaves the same remainder
-    assert _polmod([2, 0, 0, 1], [1, 3], 7) == [3]
