@@ -1,10 +1,9 @@
 """Discrete Fourier (Mattson-Solomon) transform over the splitting field.
 
 Spectra are length-n vectors over L = GF(p^m); index i holds f(alpha^i).
-Both transforms work on prime-field vectors: an L-valued vector is split
-into its m prime-field coordinate vectors, each transformed alone, and by
-GF(p)-linearity the m results recombine exactly (see _transform).  A
-prime-field vector takes one of two paths:
+Both transforms take any packed values of L (see _transform; anything
+else raises CoefficientLeak).  A prime-field vector takes one of two
+paths:
 
 * a vector of length n that is constant on p-cyclotomic
   cosets (an indicator spectrum, an idempotent) is summed by cosets: the
@@ -18,19 +17,29 @@ prime-field vector takes one of two paths:
   of each coset follows by Frobenius, out[p*i] = out[i]^p, packed for
   p = 2 (see _table_transform).
 
+An L-valued vector is transformed by GF(p)-linearity.  For p = 2 the
+column path splits it into bit planes, XORs the columns of each, and at
+each Frobenius step squares every plane and recombines the planes by
+Horner in xbar, each step on all lanes at once (see _binary_orbits).  For
+odd p it is split into its m prime-field digit vectors, each transformed
+alone, and every output is recombined by Horner evaluation in xbar.
+
 The column path serves every input and is the reference the coset path
-is tested against; the tests check it against a field sum per term.
-is_rational, the one rationality test, decides whether a spectrum
-inverts into F_q(n); certificates and shifted-divisor constructions both
-apply it to shifted_spectrum, the one spectrum of a shifted divisor.
+is tested against; the tests check it against a field sum per term and
+Horner evaluation.  is_rational, the one rationality test, decides
+whether a spectrum inverts into F_q(n); certificates and shifted-divisor
+constructions both apply it to shifted_spectrum, the one spectrum of a
+shifted divisor.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections import Counter
+from itertools import compress
 
-from .errors import NotCosetClosed, RootMismatch
+from .errors import CoefficientLeak, NotCosetClosed, RootMismatch
 from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import coset_closure, cyclotomic_cosets
 from .polyring import Poly, QuotientPoly, cyclic_shift
@@ -74,17 +83,31 @@ class Spectrum(Record):
 def _transform(coeffs, root: RootOfUnity, sign: int):
     """out[i] = sum_j coeffs[j] * alpha^(sign*i*j) for i in [0, n).
 
-    coeffs are packed values and may be longer than n.  Writing each value
-    as v = sum_k d_k * xbar^k, with digits d_k = spec.decode(v)[k] in GF(p)
-    and xbar the residue of x, splits coeffs into m prime-field vectors
-    c_0, ..., c_(m-1).  The transform T is GF(p)-linear, so
-    T(coeffs)[i] = sum_k T(c_k)[i] * xbar^k: a polynomial of degree < m in
-    xbar with coefficients T(c_k)[i], evaluated by Horner.  Prime-field
-    input is its own single coordinate vector and needs no recombination.
+    coeffs are packed values in [0, p^m) and may be longer than n; any
+    other value raises CoefficientLeak, checked once here for dft and
+    idft alike.  GF(p)-valued input goes to _prime_transform.  Other input
+    is split by GF(p)-linearity:
+
+    * p = 2: straight to _table_transform, which takes one bit plane per
+      bit of the largest value and recombines the planes on packed lanes
+      (see _binary_orbits);
+    * odd p: writing each value as v = sum_k d_k * xbar^k, with digits
+      d_k = spec.decode(v)[k] in GF(p) and xbar the residue of x, splits
+      coeffs into m prime-field vectors c_0, ..., c_(m-1).  The transform T
+      is GF(p)-linear, so T(coeffs)[i] = sum_k T(c_k)[i] * xbar^k: a
+      polynomial of degree < m in xbar with coefficients T(c_k)[i],
+      evaluated by Horner.
     """
     spec = root.spec
-    if all(c < spec.p for c in coeffs):
+    top = max(coeffs) if coeffs else 0  # max(default=) is slower
+    if top >= spec.order or coeffs and min(coeffs) < 0:
+        bad = next(c for c in coeffs if not 0 <= c < spec.order)
+        raise CoefficientLeak(f"value {bad} is not a packed element of "
+                              f"GF({spec.p}^{spec.m}), 0 to {spec.order - 1}")
+    if top < spec.p:
         return _prime_transform(coeffs, root, sign)
+    if spec.p == 2:
+        return _table_transform(coeffs, root, sign, top.bit_length())
     digits = [spec.decode(c) for c in coeffs]
     parts = [_prime_transform([d[k] for d in digits], root, sign)
              for k in range(spec.m)]
@@ -102,25 +125,34 @@ def _prime_transform(coeffs, root: RootOfUnity, sign: int):
     return _table_transform(coeffs, root, sign)
 
 
-def _table_transform(coeffs, root: RootOfUnity, sign: int):
-    """_transform for coeffs in GF(p), by packed columns (see _columns).
+def _table_transform(coeffs, root: RootOfUnity, sign: int, width: int = 1):
+    """_transform by packed columns (see _columns), for coeffs in GF(p) or,
+    when p = 2, any packed values below 2^width (width = 1: GF(2)).
 
     The transform at the p-coset representatives is the sum of
-    coeffs[j] * C_j over j: an XOR of columns for p = 2, else a big-int
-    sum whose digit lanes are reduced mod p at the end.  Input longer than
-    n is first folded mod x^n - 1, so no lane overflows.  The rest of each
-    orbit follows by Frobenius, out[p*i] = out[i]^p: for p = 2 on all
-    lanes at once, since squaring is GF(2)-linear,
-    (sum_k b_k xbar^k)^2 = sum_k b_k xbar^(2k); for odd p by spec.power.
-    sign = -1 reads the sign = 1 output at -i mod n.
+    coeffs[j] * C_j over j.  For p = 2, bit plane k is the XOR of the
+    columns j whose coeffs[j] has bit k set: the transform of the GF(2)
+    vector of those bits.  GF(2) input has the one plane 0, one XOR per
+    nonzero coefficient.  For odd p it is a big-int sum whose digit lanes
+    are reduced mod p at the end.  Input longer than n is first folded
+    mod x^n - 1 (by XOR for p = 2, the addition of GF(2^m)), so no lane
+    overflows.  The rest of each orbit follows by Frobenius: for p = 2 on
+    all lanes of every plane at once (see _binary_orbits); for odd p by
+    out[p*i] = out[i]^p, one spec.power per output.  sign = -1 reads the
+    sign = 1 output at -i mod n.
     """
     spec, n = root.spec, root.n
     p, m = spec.p, spec.m
     if len(coeffs) > n:
         folded = [0] * n
-        for j, c in enumerate(coeffs):
-            folded[j % n] += c
-        coeffs = [c % p for c in folded]
+        if p == 2:
+            for j, c in enumerate(coeffs):
+                folded[j % n] ^= c
+        else:
+            for j, c in enumerate(coeffs):
+                folded[j % n] += c
+            folded = [c % p for c in folded]
+        coeffs = folded
     orbits, w = _orbits(n, p), _digit_width(n, p)
     per_block = max(1, COLUMN_CACHE_BYTES * 8 // (n * m * w))
     if len(orbits) <= per_block:
@@ -129,14 +161,15 @@ def _table_transform(coeffs, root: RootOfUnity, sign: int):
         blocks = ((orbits[s:s + per_block],
                    _columns(root, orbits[s:s + per_block]))
                   for s in range(0, len(orbits), per_block))
+    # bit k of every coefficient selects the columns of plane k
+    bits = [coeffs] if width == 1 else [[c >> k & 1 for c in coeffs]
+                                        for k in range(width)]
     out = [0] * n
     for block, columns in blocks:
         if p == 2:
-            acc = 0
-            for c, column in zip(coeffs, columns):
-                if c:
-                    acc ^= column
-            _binary_orbits(acc, block, spec, out)
+            planes = [functools.reduce(operator.xor, compress(columns, sel), 0)
+                      for sel in bits]
+            _binary_orbits(planes, block, spec, out)
             continue
         acc = sum(c * column for c, column in zip(coeffs, columns) if c)
         mask, weights = (1 << w) - 1, [p ** k for k in range(m)]
@@ -151,22 +184,40 @@ def _table_transform(coeffs, root: RootOfUnity, sign: int):
     return out if sign > 0 else [out[-i % n] for i in range(n)]
 
 
-def _binary_orbits(acc, block, spec, out):
-    """Write out[r * 2^s] for each orbit (r, 2r, ...) of block, lane t of
-    acc holding out[r] for the t-th orbit; one packed squaring per step."""
+def _binary_orbits(planes, block, spec, out):
+    """Write out[r * 2^s] for each orbit (r, 2r, ...) of block, p = 2.
+
+    Lane t of planes[k] holds T(c_k)[r] for the t-th orbit's r, where c_k
+    is the GF(2) vector of bit k of every coefficient.  T(c_k) is
+    GF(2)-valued input's transform, so T(c_k)[2i] = T(c_k)[i]^2; squaring
+    is GF(2)-linear, (sum_l b_l xbar^l)^2 = sum_l b_l xbar^(2l), so each
+    level takes one packed squaring per plane.  The level's output is
+    sum_k planes[k] * xbar^k, by Horner on all lanes at once: times xbar,
+    a lane shifts up one bit, and a bit carried out of xbar^(m-1) comes
+    back as xbar^m = red, the modulus without its top term.  One plane,
+    as for GF(2) input, takes no Horner step.
+    """
     m = spec.m
     mask = (1 << m) - 1
     ones = ((1 << m * len(block)) - 1) // mask  # bit 0 of every lane
+    low = ones * (mask >> 1)  # bits 0 .. m - 2 of every lane
+    red = spec._mod_mask ^ (1 << m)
+    squares = _squares(spec)
     for s in range(max(map(len, block))):
         if s:
-            level, acc = acc, 0
-            for k, sq in enumerate(_squares(spec)):
-                acc ^= (level >> k & ones) * sq
-        lanes = acc
+            for t, level in enumerate(planes):
+                acc = 0
+                for k, sq in enumerate(squares):
+                    acc ^= (level >> k & ones) * sq
+                planes[t] = acc
+        acc = planes[-1]
+        if len(planes) > 1:
+            for plane in planes[-2::-1]:
+                acc = ((acc & low) << 1) ^ (acc >> m - 1 & ones) * red ^ plane
         for orbit in block:
             if s < len(orbit):
-                out[orbit[s]] = lanes & mask
-            lanes >>= m
+                out[orbit[s]] = acc & mask
+            acc >>= m
 
 
 @functools.lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bchbound import spectral
 from bchbound.errors import CoefficientLeak, NotCosetClosed
-from bchbound.galois import build_field, nth_root, poly_str, root_from_x
+from bchbound.galois import FieldSpec, build_field, nth_root, poly_str, root_from_x
 from bchbound.modring import coset_closure, cyclotomic_cosets, multiplicative_order
 from bchbound.polyring import Poly, QuotientPoly
 from bchbound.spectral import Spectrum, dft, idft, indicator_spectrum, is_rational
@@ -51,12 +51,15 @@ def _horner_idft(values, root):
 
 
 def _reference_transform(coeffs, root, sign):
-    """Reference for spectral._table_transform: a field sum per term.
+    """Reference for spectral._table_transform on GF(p) input: a field sum
+    per term.
 
     Each output at a p-coset representative i sums alpha^(sign*i*j) over
     the support, grouped by coefficient, with FieldSpec.add; the rest of
     the coset follows by Frobenius, out[p*i] = out[i]^p, with spec.power.
-    It shares no packing with the library's columns.
+    It shares no packing with the library's columns.  The Frobenius step
+    holds only for GF(p) input, so it is no oracle for L-valued input,
+    binary or not; _horner is.
     """
     spec, n, powers = root.spec, root.n, root.powers
     p = spec.p
@@ -295,6 +298,131 @@ def test_one_column_table_is_held_per_process():
         assert (spectral._table_transform(coeffs, root, 1)
                 == _reference_transform(coeffs, root, 1))
     assert spectral._cached_columns.cache_info().currsize == 1
+
+
+def _check_horner(values, root):
+    """dft and idft of L-valued values against the Horner oracle."""
+    spec = root.spec
+    assert dft(QuotientPoly(spec, tuple(values)), root).values == _horner(
+        values, root, 1)
+    assert idft(Spectrum(root.n, root, tuple(values))).coeffs == _horner_idft(
+        values, root)
+
+
+def test_binary_field_values_past_the_cap_match_horner(monkeypatch):
+    built = _counting_columns(monkeypatch)
+    monkeypatch.setattr(spectral, "COLUMN_CACHE_BYTES", 2)
+    rng = random.Random(312)
+    for n, m in [(21, 6), (15, 4)]:
+        root = _root(n, 2, m)
+        orbits = len(cyclotomic_cosets(n, 2).cosets)
+        values = [rng.randrange(root.spec.order) for _ in range(n)]
+        values[0] = root.spec.order - 1  # every bit plane is nonzero
+        del built[:]
+        _check_horner(values, root)
+        # one block per representative, for dft and for idft
+        assert built == [1] * (2 * orbits)
+    assert spectral._cached_columns.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n,m", [(15, 4), (21, 6), (255, 8)])
+def test_long_binary_field_valued_poly_is_folded_by_xor(n, m):
+    # x^n = 1 mod x^n - 1, so index j + n adds to index j in GF(2^m): an
+    # XOR of packed values, where an integer sum would overflow the field
+    root = _root(n, 2, m)
+    rng = random.Random(313 + n)
+    values = [rng.randrange(1, root.spec.order) for _ in range(2 * n)]
+    poly = Poly(root.spec, values)
+    assert dft(poly, root).values == _horner(values, root, 1)
+    folded = [a ^ b for a, b in zip(values, values[n:])]
+    assert dft(poly, root) == dft(QuotientPoly(root.spec, tuple(folded)), root)
+
+
+@pytest.mark.parametrize("n,m", [(31, 5), (73, 9), (127, 7)])
+def test_every_lane_reduces_at_every_horner_step(n, m):
+    # Every orbit but {0} has full length m here.  Pick the Horner
+    # accumulators acc_0, ..., acc_(m-2) of each such lane with xbar^(m-1)
+    # set, so multiplying each by xbar reduces by the modulus, and read the
+    # level-0 plane lanes off them: L_(m-1) = acc_0 and
+    # L_k = acc_(m-1-k) + xbar * acc_(m-2-k).  Plane k's GF(2) vector is the
+    # Horner inverse of the rational spectrum with L_k on its orbit lanes.
+    root = _root(n, 2, m)
+    spec, rng = root.spec, random.Random(314 + n)
+    xbar, top = spec.x(), 1 << m - 1
+    orbits = spectral._orbits(n, 2)
+    spectra = [[0] * n for _ in range(m)]
+    for orbit in orbits:
+        if len(orbit) == 1:
+            lanes = [rng.randrange(2) for _ in range(m)]
+        else:
+            acc = [rng.randrange(top, 1 << m) for _ in range(m - 1)]
+            acc.append(rng.randrange(1, 1 << m))
+            lanes = [acc[m - 1 - k] ^ spec.mul(xbar, acc[m - 2 - k])
+                     for k in range(m - 1)] + [acc[0]]
+            a = lanes[-1]  # replay the Horner steps
+            for k in range(m - 2, -1, -1):
+                assert a & top
+                a = spec.mul(a, xbar) ^ lanes[k]
+            assert a == acc[-1]
+        for k, v in enumerate(lanes):
+            for i in orbit:
+                spectra[k][i] = v
+                v = spec.mul(v, v)
+    values = [0] * n
+    for k, s in enumerate(spectra):
+        plane = _horner_idft(s, root)
+        assert set(plane) <= {0, 1}
+        values = [v | b << k for v, b in zip(values, plane)]
+    _check_horner(values, root)
+
+
+def _forbid_digits_and_horner(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("binary input reached the digit planes")
+
+    monkeypatch.setattr(Poly, "eval", forbidden)
+    monkeypatch.setattr(FieldSpec, "decode", forbidden)
+
+
+def test_binary_field_valued_input_skips_digits_and_horner(monkeypatch):
+    root = _root(255, 2, 8)
+    rng = random.Random(315)
+    values = tuple(rng.randrange(256) for _ in range(255))
+    word = QuotientPoly(root.spec, values)
+    want_s, want_w = _horner(values, root, 1), _horner_idft(values, root)
+    _forbid_digits_and_horner(monkeypatch)
+    assert dft(word, root).values == want_s
+    assert idft(Spectrum(255, root, values)).coeffs == want_w
+
+
+def test_odd_p_field_valued_input_recombines_by_horner(monkeypatch):
+    root = _root(121, 3, 5)
+    calls = []
+    eval_ = Poly.eval
+
+    def counted(poly, point):
+        calls.append(point)
+        return eval_(poly, point)
+
+    monkeypatch.setattr(Poly, "eval", counted)
+    rng = random.Random(316)
+    values = [rng.randrange(root.spec.order) for _ in range(121)]
+    s = Spectrum(121, root, tuple(values))
+    assert idft(s).coeffs == _horner_idft(values, root)
+    # one evaluation at xbar per output
+    assert calls == [root.spec.x()] * 121
+
+
+@pytest.mark.parametrize("bad", [16, 17, -1])
+def test_values_outside_the_field_are_rejected(root15, bad):
+    # 17 = 16 + 1 was read as 1, and -1 passed the GF(2) test as if it
+    # were 1; each is named instead of wrapped into GF(16), as is 16, the
+    # first value past the field
+    values = (bad,) + (0,) * 14
+    with pytest.raises(CoefficientLeak, match=f"value {bad} "):
+        idft(Spectrum(15, root15, values))
+    with pytest.raises(CoefficientLeak, match=f"value {bad} "):
+        dft(QuotientPoly(root15.spec, values), root15)
 
 
 def test_spectrum_str_names_root_powers(root15):
