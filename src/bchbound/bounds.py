@@ -59,20 +59,20 @@ class Certificate(Record):
         self.__dict__.update(divisor=divisor, k=k, representative=representative)
 
 
-def certify_equality(code: CyclicCode, budget: int = DEFAULT_DIVISOR_BUDGET):
+def certify_equality(code: CyclicCode):
     """Search for (g, k, a) certifying d(C) = Delta(C); None if none exists.
 
     Divisors g | x^n - 1 over GF(q) of degree n - Delta are scanned; for
     each and every optimal representative a, find_shift looks for the least
     shift k whose shifted support misses a*D and whose shifted spectrum is
-    rational over the base field.  budget bounds the subsets of the factor
-    list of x^n - 1 that the scan visits; BudgetExceeded is raised when it
-    runs out before the scan is finished.
+    rational over the base field.  The scan visits at most
+    DEFAULT_DIVISOR_BUDGET subsets of the factor list of x^n - 1, read at
+    each call, and raises BudgetExceeded when they run out first.
     """
     report = code_apparent_distance(code)
     target_deg = code.n - report.overall
     for g, _idxs in divisor_enumerate(factor_xn(code.n, code.root), target_deg,
-                                      budget=budget):
+                                      budget=DEFAULT_DIVISOR_BUDGET):
         for a in report.optimal_reps:
             k = find_shift(g, code.root, code.masks[a])
             if k is not None:

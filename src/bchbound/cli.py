@@ -174,7 +174,7 @@ def _code_record(code, field_info):
         **field_info,
         "defining_set": sorted(code.defining_set),
         "dimension": code.dimension,
-        "generator_poly": code.generator.exponents(),
+        "generator_poly": sorted(code.generator.support()),
         "idempotent": sorted(code.idempotent.support()),
         "bch_bound": report.overall,
         "optimal_reps": sorted(report.optimal_reps),
@@ -191,17 +191,18 @@ def _build_code(args):
 def cmd_cosets(args):
     part = cyclotomic_cosets(args.n, args.q)
     order = part.order
+    cosets = [sorted(c) for c in part.cosets]  # shown sorted, not as orbits
     payload = {
         "n": args.n,
         "q": args.q,
-        "cosets": [list(c) for c in part.cosets],
-        "representatives": [c[0] for c in part.cosets],
+        "cosets": cosets,
+        "representatives": list(part.representatives),
         "a_set": list(part.a_set),
         "order": order,
     }
-    lines = [f"{len(part.cosets)} cosets mod {args.n} under multiplication "
+    lines = [f"{len(cosets)} cosets mod {args.n} under multiplication "
              f"by {args.q} (ord = {order})"]
-    lines += [f"  C({c[0]}) = {{{', '.join(map(str, c))}}}" for c in part.cosets]
+    lines += [f"  C({c[0]}) = {{{', '.join(map(str, c))}}}" for c in cosets]
     lines.append(f"A({args.n}) = {{{', '.join(map(str, part.a_set))}}}")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -211,7 +212,7 @@ def cmd_factor(args):
     root, field_info = _make_root(args.n, args.q, args.field_poly)
     factors = factor_xn(args.n, root, subfield_degree=args.subfield)
     items = [{"coset_rep": min(coset), "coset": sorted(coset),
-              "exponents": poly.exponents()}
+              "exponents": sorted(poly.support())}
              for poly, coset in factors.factors]
     payload = {"n": args.n, "q": args.q, **field_info,
                "subfield_degree": args.subfield, "factors": items}
@@ -241,7 +242,7 @@ def cmd_analyze(args):
             lines.append("certificate:  none found (d may exceed the bound)")
         else:
             rec["certificate"] = {
-                "divisor": cert.divisor.exponents(),
+                "divisor": sorted(cert.divisor.support()),
                 "k": cert.k,
                 "representative": cert.representative,
             }
@@ -275,7 +276,7 @@ def _record_payload(rec, field_info):
     code_rec = _code_record(rec.code, field_info)
     payload = {
         "source": rec.source,
-        "divisor": rec.divisor.exponents(),
+        "divisor": sorted(rec.divisor.support()),
         "k": rec.k,
         "dimension": rec.dimension,
         "bch_bound": rec.bch_bound,

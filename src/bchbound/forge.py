@@ -34,14 +34,14 @@ class ConstructionRecord(Record):
     def dimension(self):
         return self.code.dimension
 
-    def verify(self, cap=DEFAULT_CAP) -> "ConstructionRecord":
+    def verify(self) -> "ConstructionRecord":
         """Re-check the claims: Delta and d by min_distance.
 
         Raises when the search disproves d = Delta.  A search that runs out
-        of cap before it finds a word of weight Delta proves nothing either
-        way, and the record comes back with verified=False.
+        of DEFAULT_CAP (read at each call) before it finds a word of weight
+        Delta proves nothing, and the record comes back verified=False.
         """
-        res = min_distance(self.code, cap=cap)
+        res = min_distance(self.code, cap=DEFAULT_CAP)
         if res.bch_bound != self.bch_bound:
             raise AssertionError("claimed BCH bound does not recompute")
         if res.distance < self.bch_bound or res.lower_bound > self.bch_bound:

@@ -15,7 +15,8 @@ A tabled field holds about 4 p^m list entries; every larger field stays
 table-free, so memory stays bounded up to MAX_FIELD_ORDER.  Each RootOfUnity
 keeps an O(n) table of its own powers and the inverse map (discrete log on
 the subgroup it generates); nth_root and root_from_x make one root per
-(FieldSpec, n), so the tables are built once per process.
+(FieldSpec, n), so the tables are built once per process.  One search,
+default_modulus, picks the default modulus of every degree m, 1 included.
 """
 
 from __future__ import annotations
@@ -486,10 +487,6 @@ def default_modulus(p: int, m: int):
         raise NoDefaultPolynomial(f"{p}^{m} exceeds the {MAX_FIELD_ORDER} cap")
     n = p ** m - 1
     primes = _prime_factors(n)
-    if m == 1:  # x - g for the least generator g of GF(p)*; x + 1 for p = 2
-        g = next((g for g in range(2, p)
-                  if all(pow(g, n // r, p) != 1 for r in primes)), 1)
-        return ((-g) % p, 1)
     for packed in range(p ** m + 1, 2 * p ** m):
         coeffs = [packed // p ** i % p for i in range(m + 1)]
         # for p = 2 the base-p packing is the modulus bitmask

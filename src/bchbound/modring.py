@@ -1,7 +1,8 @@
 """Arithmetic in Z_n: q-cyclotomic cosets, their labels and masks, A(n),
 orders and cyclic runs.
 
-A subset S of Z_n is read as a set or as an n-bit mask, bit i set for each
+A coset is listed as its orbit r, q*r, q^2*r, ..., from its least member r;
+a subset S of Z_n is read as a set or as an n-bit mask, bit i set for each
 i in S.
 
 All values are immutable after construction and safe to share.
@@ -23,7 +24,7 @@ class CosetPartition(Record):
     """The q-cyclotomic cosets modulo n, keyed by minimum representative."""
 
     def __init__(self, n: int, q: int, cosets: tuple):
-        # cosets: a tuple of sorted tuples, ordered by representative
+        # cosets: orbit tuples (r, q*r, ...), ordered by their least member r
         self.__dict__.update(n=n, q=q, cosets=cosets)
 
     @property
@@ -65,7 +66,7 @@ def _check(n: int, q: int):
 
 
 def cyclotomic_coset(a: int, n: int, q: int) -> tuple:
-    """The sorted orbit of a under i -> q*i mod n; NotCoprime unless gcd(n, q) = 1."""
+    """The coset of a, in orbit order; NotCoprime unless gcd(n, q) = 1."""
     part = cyclotomic_cosets(n, q)
     return part.cosets[part.label[a % n]]
 
@@ -83,7 +84,7 @@ def cyclotomic_cosets(n: int, q: int) -> CosetPartition:
             orbit.append(b)
             b = b * q % n
         if orbit:
-            cosets.append(tuple(sorted(orbit)))
+            cosets.append(tuple(orbit))
     return CosetPartition(n, q, tuple(cosets))
 
 

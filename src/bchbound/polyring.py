@@ -96,8 +96,6 @@ class Poly:
 
     def __mul__(self, other):
         s = self.spec
-        if self.is_zero() or other.is_zero():
-            return Poly.zero(s)
         if self._in_prime_field(other):
             return Poly(s, _polmul(self.coeffs, other.coeffs, s.p))
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -181,10 +179,6 @@ class Poly:
                     f"coefficient {poly_str(self.spec.decode(c))} outside "
                     "the prime field")
         return list(self.coeffs)
-
-    def exponents(self):
-        """Ascending exponents of the nonzero terms (CLI serialization)."""
-        return sorted(self.support())
 
     def __repr__(self):
         try:

@@ -1,21 +1,22 @@
 """Discrete Fourier (Mattson-Solomon) transform over the splitting field.
 
 Spectra are length-n vectors over L = GF(p^m); index i holds f(alpha^i).
-Both transforms take any packed values of L (see _transform; anything
-else raises CoefficientLeak).  A prime-field vector takes one of two
+Both transforms run on n packed values of L; a Poly of any degree is first
+reduced mod x^n - 1 by QuotientPoly.from_poly (see _transform; any other
+value raises CoefficientLeak).  A prime-field vector takes one of two
 paths:
 
-* a vector of length n that is constant on p-cyclotomic
-  cosets (an indicator spectrum, an idempotent) is summed by cosets: the
-  sum over a coset C of r of alpha^(i*j) is a trace of alpha^(i*r), so
-  each output is a GF(p) sum with one trace per input coset off the most
-  common value (see _coset_transform);
+* a vector constant on p-cyclotomic cosets (an indicator spectrum, an
+  idempotent) is summed by cosets: the sum over a coset C of r of
+  alpha^(i*j) is a trace of alpha^(i*r), so each output is a GF(p) sum
+  with one trace per input coset off the most common value (see
+  _coset_transform);
 * any other vector (a word over GF(p), a shifted divisor) is
   summed by packed columns: column j holds alpha^(r*j) for every p-coset
   representative r in one int, so the outputs at all representatives are
   one big-int add (an XOR for p = 2) per nonzero coefficient, and the rest
-  of each coset follows by Frobenius, out[p*i] = out[i]^p, packed for
-  p = 2 (see _table_transform).
+  of each coset follows by Frobenius down its orbit r, p*r, ... (as
+  cyclotomic_cosets lists it), packed for p = 2 (see _table_transform).
 
 An L-valued vector is transformed by GF(p)-linearity.  For p = 2 the
 column path splits it into bit planes, XORs the columns of each, and at
@@ -83,10 +84,11 @@ class Spectrum(Record):
 def _transform(coeffs, root: RootOfUnity, sign: int):
     """out[i] = sum_j coeffs[j] * alpha^(sign*i*j) for i in [0, n).
 
-    coeffs are packed values in [0, p^m) and may be longer than n; any
-    other value raises CoefficientLeak, checked once here for dft and
-    idft alike.  GF(p)-valued input goes to _prime_transform.  Other input
-    is split by GF(p)-linearity:
+    coeffs are packed values in [0, p^m); any other value raises
+    CoefficientLeak, checked once here for dft and idft alike, and before
+    a Poly's coefficients, of any length, are reduced to n values by
+    QuotientPoly.from_poly.  GF(p)-valued input goes to _prime_transform.
+    Other input is split by GF(p)-linearity:
 
     * p = 2: straight to _table_transform, which takes one bit plane per
       bit of the largest value and recombines the planes on packed lanes
@@ -98,12 +100,14 @@ def _transform(coeffs, root: RootOfUnity, sign: int):
       polynomial of degree < m in xbar with coefficients T(c_k)[i],
       evaluated by Horner.
     """
-    spec = root.spec
+    spec, n = root.spec, root.n
     top = max(coeffs) if coeffs else 0  # max(default=) is slower
     if top >= spec.order or coeffs and min(coeffs) < 0:
         bad = next(c for c in coeffs if not 0 <= c < spec.order)
         raise CoefficientLeak(f"value {bad} is not a packed element of "
                               f"GF({spec.p}^{spec.m}), 0 to {spec.order - 1}")
+    if len(coeffs) != n:
+        coeffs = QuotientPoly.from_poly(Poly(spec, coeffs), n).coeffs
     if top < spec.p:
         return _prime_transform(coeffs, root, sign)
     if spec.p == 2:
@@ -119,41 +123,29 @@ def _prime_transform(coeffs, root: RootOfUnity, sign: int):
     """_transform for coeffs in GF(p): by cosets when coeffs is constant
     on the p-cyclotomic cosets mod n, else by packed columns."""
     n, p = root.n, root.spec.p
-    if len(coeffs) == n and all(coeffs[p * j % n] == c
-                                for j, c in enumerate(coeffs)):
+    if all(coeffs[p * j % n] == c for j, c in enumerate(coeffs)):
         return _coset_transform(coeffs, root, sign)
     return _table_transform(coeffs, root, sign)
 
 
 def _table_transform(coeffs, root: RootOfUnity, sign: int, width: int = 1):
-    """_transform by packed columns (see _columns), for coeffs in GF(p) or,
-    when p = 2, any packed values below 2^width (width = 1: GF(2)).
+    """_transform by packed columns (see _columns), for exactly n coeffs in
+    GF(p) or, when p = 2, any packed values below 2^width (width = 1: GF(2)).
 
     The transform at the p-coset representatives is the sum of
     coeffs[j] * C_j over j.  For p = 2, bit plane k is the XOR of the
     columns j whose coeffs[j] has bit k set: the transform of the GF(2)
     vector of those bits.  GF(2) input has the one plane 0, one XOR per
     nonzero coefficient.  For odd p it is a big-int sum whose digit lanes
-    are reduced mod p at the end.  Input longer than n is first folded
-    mod x^n - 1 (by XOR for p = 2, the addition of GF(2^m)), so no lane
-    overflows.  The rest of each orbit follows by Frobenius: for p = 2 on
-    all lanes of every plane at once (see _binary_orbits); for odd p by
-    out[p*i] = out[i]^p, one spec.power per output.  sign = -1 reads the
-    sign = 1 output at -i mod n.
+    are reduced mod p at the end; n terms of at most (p - 1)^2 keep every
+    lane within _digit_width.  The rest of each orbit follows by Frobenius:
+    for p = 2 on all lanes of every plane at once (see _binary_orbits); for
+    odd p by out[p*i] = out[i]^p, one spec.power per output.  sign = -1
+    reads the sign = 1 output at -i mod n.
     """
     spec, n = root.spec, root.n
     p, m = spec.p, spec.m
-    if len(coeffs) > n:
-        folded = [0] * n
-        if p == 2:
-            for j, c in enumerate(coeffs):
-                folded[j % n] ^= c
-        else:
-            for j, c in enumerate(coeffs):
-                folded[j % n] += c
-            folded = [c % p for c in folded]
-        coeffs = folded
-    orbits, w = _orbits(n, p), _digit_width(n, p)
+    orbits, w = cyclotomic_cosets(n, p).cosets, _digit_width(n, p)
     per_block = max(1, COLUMN_CACHE_BYTES * 8 // (n * m * w))
     if len(orbits) <= per_block:
         blocks = [(orbits, _cached_columns(root))]
@@ -226,13 +218,6 @@ def _squares(spec: FieldSpec) -> tuple:
     return tuple(spec.mul(1 << k, 1 << k) for k in range(spec.m))
 
 
-@functools.lru_cache(maxsize=None)
-def _orbits(n: int, p: int) -> tuple:
-    """The p-cyclotomic cosets mod n, each listed as r, p*r, p^2*r, ..."""
-    return tuple(tuple(c[0] * pow(p, s, n) % n for s in range(len(c)))
-                 for c in cyclotomic_cosets(n, p).cosets)
-
-
 def _digit_width(n: int, p: int) -> int:
     """Bits per digit lane: 1 for p = 2, where an XOR never carries, else
     room for a sum of n products of two digits, n(p - 1)^2."""
@@ -243,7 +228,7 @@ def _digit_width(n: int, p: int) -> int:
 def _cached_columns(root: RootOfUnity) -> tuple:
     """_columns of every orbit, built once per root under the cap; one
     root's table is held at a time, so the cap bounds the process."""
-    return tuple(_columns(root, _orbits(root.n, root.spec.p)))
+    return tuple(_columns(root, cyclotomic_cosets(root.n, root.spec.p).cosets))
 
 
 def _columns(root: RootOfUnity, orbits) -> list:
@@ -323,7 +308,8 @@ def _trace(spec: FieldSpec):
 
 
 def dft(f: QuotientPoly | Poly, root: RootOfUnity) -> Spectrum:
-    """values[i] = f(alpha^i); a QuotientPoly must have length root.n."""
+    """values[i] = f(alpha^i); a QuotientPoly must have length root.n, and
+    a Poly of any degree is reduced mod x^n - 1 (see _transform)."""
     if isinstance(f, QuotientPoly) and f.n != root.n:
         raise RootMismatch(f"a word of length {f.n} over a root of order "
                            f"{root.n}")

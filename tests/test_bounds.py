@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bchbound import bounds
 from bchbound.bounds import (
     Certificate,
     apparent_distance_vec,
@@ -144,21 +145,24 @@ def test_certificates_at_the_last_shift():
     assert _certificate_at(19, 7, [5]) == (18, 1, 16)
 
 
-def test_certify_equality_budget():
+def test_certify_equality_budget(monkeypatch):
     root = nth_root(build_field(2, 10), 33)
     code = code_from_defining_set(33, 2, root, coset_closure([1], 33, 2))
+    monkeypatch.setattr(bounds, "DEFAULT_DIVISOR_BUDGET", 0)
     with pytest.raises(BudgetExceeded):
-        certify_equality(code, budget=0)
+        certify_equality(code)
 
 
-def test_certify_budget_bounds_a_walk_that_finds_nothing():
+def test_certify_budget_bounds_a_walk_that_finds_nothing(monkeypatch):
     # the code of C(1) + C(3) + C(9) mod 63 has no certificate; its walk
     # emits 2 divisors of degree 63 - 5 among all 2^13 subsets it visits
     root = nth_root(build_field(2, 6), 63)
     code = code_from_defining_set(63, 2, root, coset_closure([1, 3, 9], 63, 2))
-    assert certify_equality(code, budget=2 ** 13) is None
+    monkeypatch.setattr(bounds, "DEFAULT_DIVISOR_BUDGET", 2 ** 13)
+    assert certify_equality(code) is None
+    monkeypatch.setattr(bounds, "DEFAULT_DIVISOR_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        certify_equality(code, budget=100)
+        certify_equality(code)
 
 
 def test_certificate_implies_equality_n15(root15):

@@ -28,6 +28,16 @@ def test_cosets_json_round_trip(capsys):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
 
 
+def test_cosets_are_shown_sorted_not_in_orbit_order(capsys):
+    # the orbit of 5 mod 21 under doubling is 5, 10, 20, 19, 17, 13
+    code, out, _ = run_cli(capsys, "cosets", "--n", "21", "--q", "2")
+    assert code == 0
+    assert "  C(5) = {5, 10, 13, 17, 19, 20}\n" in out
+    code, out, _ = run_cli(capsys, "cosets", "--n", "21", "--q", "2", "--json")
+    assert code == 0
+    assert [5, 10, 13, 17, 19, 20] in json.loads(out)["cosets"]
+
+
 def test_closed_pipe_ends_quietly():
     # a reader that stops after one line, like `| head -1`, is no error
     src = pathlib.Path(cli.__file__).parents[1]

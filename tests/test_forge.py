@@ -213,10 +213,12 @@ def test_primitive_family_checks_the_congruence_route(monkeypatch):
         primitive_family(_primitive_root(3))
 
 
-def test_verify_out_of_cap_is_unverified_not_a_disproof():
+def test_verify_out_of_cap_is_unverified_not_a_disproof(monkeypatch):
     # its first message weighs 9, Delta = 5
     rec = primitive_family(_primitive_root(5))[1]
-    assert rec.verify(cap=1).verified is False
+    with monkeypatch.context() as patch:
+        patch.setattr(forge, "DEFAULT_CAP", 1)
+        assert rec.verify().verified is False
     assert rec.verify().verified
 
 

@@ -202,11 +202,15 @@ def _monic(p, m):
             yield packed, [packed // p ** i % p for i in range(m + 1)]
 
 
+def _primes(limit):
+    """Every prime p <= limit."""
+    return [p for p in range(2, limit + 1)
+            if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
 def _extensions(limit):
     """Every (p, m) with p prime, m >= 2 and p^m <= limit."""
-    primes = [p for p in range(2, 1 + math.isqrt(limit))
-              if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    return [(p, m) for p in primes
+    return [(p, m) for p in _primes(math.isqrt(limit))
             for m in range(2, limit.bit_length()) if p ** m <= limit]
 
 
@@ -228,13 +232,21 @@ def _reference_default_modulus(p, m):
 CAP_EDGES = [(2, 23), (2, 24), (3, 14), (3, 15), (5, 10), (7, 8), (11, 6),
              (13, 6)]
 
+# degree 1 follows the same rule: the first x + c whose residue -c
+# generates GF(p)*, and the largest prime under the field-order cap
+PRIME_FIELDS = [(p, 1) for p in _primes(1 << 10)] + [((1 << 24) - 3, 1)]
+
 
 def test_default_modulus_matches_reference_search(monkeypatch):
     monkeypatch.setattr(galois.FieldSpec, "_build_tables", lambda self: None)
     pairs = _extensions(1 << 16)
     assert len(pairs) == 93
-    for p, m in pairs + CAP_EDGES:
+    assert len(PRIME_FIELDS) == 173 and is_prime(PRIME_FIELDS[-1][0])
+    for p, m in pairs + CAP_EDGES + PRIME_FIELDS:
         assert default_modulus(p, m) == _reference_default_modulus(p, m), (p, m)
+    # x + 2, x + 2, x + 3, x + 2, where the least generator g gave x - g
+    assert [default_modulus(p, 1) for p in (5, 7, 11, 13)] == [
+        (2, 1), (2, 1), (3, 1), (2, 1)]
 
 
 def test_order_of_x_decides_primitivity(monkeypatch):

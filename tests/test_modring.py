@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bchbound.errors import NotCoprime
@@ -20,12 +20,29 @@ from bchbound.modring import (
 
 def test_cosets_n21_q2():
     part = cyclotomic_cosets(21, 2)
-    assert [list(c) for c in part.cosets] == [
-        [0], [1, 2, 4, 8, 11, 16], [3, 6, 12], [5, 10, 13, 17, 19, 20],
-        [7, 14], [9, 15, 18],
-    ]
+    assert part.cosets == (
+        (0,), (1, 2, 4, 8, 16, 11), (3, 6, 12), (5, 10, 20, 19, 17, 13),
+        (7, 14), (9, 18, 15),
+    )
     assert part.representatives == (0, 1, 3, 5, 7, 9)
-    assert [c for c in part.cosets if 11 in c] == [(1, 2, 4, 8, 11, 16)]
+    assert [c for c in part.cosets if 11 in c] == [(1, 2, 4, 8, 16, 11)]
+
+
+@given(st.integers(1, 200).flatmap(
+    lambda n: st.tuples(st.just(n), st.sampled_from([2, 3, 5, 7, 11, 13]))))
+@example((21, 2))
+@example((121, 3))
+@example((1, 2))
+def test_cosets_are_orbits_from_their_least_member(case):
+    n, q = case
+    assume(math.gcd(n, q) == 1)
+    cosets = cyclotomic_cosets(n, q).cosets
+    for c in cosets:
+        assert c[0] == min(c)
+        assert len(set(c)) == len(c)
+        assert all(c[i + 1] == q * c[i] % n for i in range(len(c) - 1))
+        assert q * c[-1] % n == c[0]  # the orbit closes
+    assert [c[0] for c in cosets] == sorted(c[0] for c in cosets)
 
 
 def test_cosets_partition_zn():

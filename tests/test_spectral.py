@@ -207,11 +207,22 @@ def _packed_root(p, m, modulus, n, from_x):
     return root_from_x(spec, n) if from_x else nth_root(spec, n)
 
 
-def _check_packed(coeffs, root):
+def _check_packed(coeffs, root, horner=True):
+    """The packed columns against the field sum per term and, unless told
+    not to, against Horner.  At most n values go straight to
+    _table_transform, padded to n, for both signs; a longer list reaches
+    it only through dft, which reduces it mod x^n - 1 first."""
+    n = root.n
+    if len(coeffs) > n:
+        got = dft(Poly(root.spec, coeffs), root).values
+        assert list(got) == _reference_transform(coeffs, root, 1)
+        assert not horner or got == _horner(coeffs, root, 1)
+        return
+    coeffs = tuple(coeffs) + (0,) * (n - len(coeffs))
     for sign in (1, -1):
         packed = spectral._table_transform(coeffs, root, sign)
         assert packed == _reference_transform(coeffs, root, sign)
-        assert tuple(packed) == _horner(coeffs, root, sign)
+        assert not horner or tuple(packed) == _horner(coeffs, root, sign)
 
 
 @pytest.mark.parametrize("setup", PACKED_SETUPS)
@@ -225,8 +236,8 @@ def test_packed_columns_match_the_reference(setup, data):
 
 @pytest.mark.parametrize("setup", PACKED_SETUPS)
 def test_packed_columns_at_full_lane_load(setup):
-    # all coefficients p - 1 put the largest load on the digit lanes; it
-    # stays under n(p - 1)^2 only because longer input is folded first
+    # all coefficients p - 1 put the largest load, n(p - 1)^2, on the
+    # digit lanes; a longer input is reduced mod x^n - 1 by dft first
     root = _packed_root(*setup)
     n, p = root.n, root.spec.p
     _check_packed((0,) * n, root)
@@ -239,10 +250,7 @@ def test_packed_columns_at_full_lane_load(setup):
 @given(data=st.data())
 def test_packed_columns_match_the_reference_at_long_lengths(n, q, m, data):
     root = _root(n, q, m)
-    coeffs = data.draw(_values(q, n, 2 * n))
-    for sign in (1, -1):
-        assert (spectral._table_transform(coeffs, root, sign)
-                == _reference_transform(coeffs, root, sign))
+    _check_packed(data.draw(_values(q, n, 2 * n)), root, horner=False)
 
 
 def _counting_columns(monkeypatch):
@@ -338,6 +346,34 @@ def test_long_binary_field_valued_poly_is_folded_by_xor(n, m):
     assert dft(poly, root) == dft(QuotientPoly(root.spec, tuple(folded)), root)
 
 
+def test_dft_and_idft_hand_the_columns_exactly_n_values(monkeypatch):
+    # dft reduces a long Poly mod x^n - 1 before it transforms, so every
+    # column sum has n terms and an odd-p lane holds at most n(p - 1)^2
+    seen = []
+    table = spectral._table_transform
+
+    def spy(coeffs, root, *args):
+        seen.append((len(coeffs), root.n))
+        return table(coeffs, root, *args)
+
+    monkeypatch.setattr(spectral, "_table_transform", spy)
+    rng = random.Random(317)
+    root15, root24 = _root(15, 2, 4), _root(24, 5, 2)
+    # GF(2^4) values of length 2n; all p - 1 over GF(5) of length 2n - 1,
+    # and of length 2n, which reduces to the constant 2(p - 1), a coset-
+    # constant word, and so takes the coset path with no column sum
+    cases = [(root15, [rng.randrange(1, 16) for _ in range(30)], True),
+             (root24, [4] * 47, True), (root24, [4] * 48, False)]
+    for root, values, reaches_table in cases:
+        del seen[:]
+        poly = Poly(root.spec, values)
+        s = dft(poly, root)
+        assert s.values == _horner(values, root, 1)
+        assert idft(s) == QuotientPoly.from_poly(poly, root.n)
+        assert bool(seen) == reaches_table
+        assert all(k == order for k, order in seen)
+
+
 @pytest.mark.parametrize("n,m", [(31, 5), (73, 9), (127, 7)])
 def test_every_lane_reduces_at_every_horner_step(n, m):
     # Every orbit but {0} has full length m here.  Pick the Horner
@@ -349,7 +385,7 @@ def test_every_lane_reduces_at_every_horner_step(n, m):
     root = _root(n, 2, m)
     spec, rng = root.spec, random.Random(314 + n)
     xbar, top = spec.x(), 1 << m - 1
-    orbits = spectral._orbits(n, 2)
+    orbits = cyclotomic_cosets(n, 2).cosets
     spectra = [[0] * n for _ in range(m)]
     for orbit in orbits:
         if len(orbit) == 1:
@@ -423,6 +459,17 @@ def test_values_outside_the_field_are_rejected(root15, bad):
         idft(Spectrum(15, root15, values))
     with pytest.raises(CoefficientLeak, match=f"value {bad} "):
         dft(QuotientPoly(root15.spec, values), root15)
+
+
+@pytest.mark.parametrize("n,q,m", [(15, 2, 4), (24, 5, 2), (11, 3, 5)])
+def test_a_long_poly_is_checked_before_it_is_reduced(n, q, m):
+    # reducing mod x^n - 1 runs field arithmetic, which assumes packed
+    # values: a bad leading coefficient must be named, not computed with
+    root = _root(n, q, m)
+    for bad in (root.spec.order, root.spec.order + 1, -1):
+        poly = Poly(root.spec, (1,) + (0,) * n + (bad,))
+        with pytest.raises(CoefficientLeak, match=f"value {bad} "):
+            dft(poly, root)
 
 
 def test_spectrum_str_names_root_powers(root15):
