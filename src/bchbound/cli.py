@@ -44,7 +44,12 @@ EXIT_OK, EXIT_MISMATCH, EXIT_USAGE, EXIT_COMPUTE = 0, 1, 2, 3
 
 
 def _check_args(args):
-    """Reject a bad --n, --q, --subfield or --cap before any work starts."""
+    """Reject a bad option value (a missing one, or a bad --n, --q,
+    --subfield or --cap) before any work starts."""
+    for name, value in vars(args).items():
+        if value == []:  # argparse reads --opt=-- as [] and skips its type
+            raise argparse.ArgumentTypeError(
+                f"--{name.replace('_', '-')} needs a value, not --")
     n, q = getattr(args, "n", None), getattr(args, "q", None)
     if q is not None and not (q <= MAX_FIELD_ORDER and is_prime(q)):
         raise argparse.ArgumentTypeError(
@@ -361,7 +366,7 @@ def _row_dict(row):
 
 def cmd_reproduce(args):
     golden = tables.golden_rows(args.table)
-    fresh = tables.recompute(args.table)
+    fresh = tables.recompute(args.table, golden)
     report = sys.stderr if args.emit else sys.stdout
     failures = 0
     for idx, (want, got) in enumerate(zip(golden, fresh)):

@@ -28,6 +28,13 @@ from .modring import cyclotomic_coset, cyclotomic_cosets
 from .records import Record
 
 
+def leak(spec: FieldSpec, values) -> CoefficientLeak:
+    """The error naming the first of values outside 0, ..., p^m - 1."""
+    bad = next(c for c in values if not 0 <= c < spec.order)
+    return CoefficientLeak(f"value {bad} is not a packed element of "
+                           f"GF({spec.p}^{spec.m}), 0 to {spec.order - 1}")
+
+
 class Poly:
     """Dense polynomial over a FieldSpec, little-endian, no trailing zeros."""
 
@@ -123,6 +130,9 @@ class Poly:
         if self._in_prime_field(other):
             quot, rem = _poldivmod(self.coeffs, other.coeffs, s.p)
             return Poly(s, quot), Poly(s, rem)
+        both = self.coeffs + other.coeffs  # the loop assumes packed values
+        if max(both) >= s.order or min(both) < 0:
+            raise leak(s, both)
         rem = list(self.coeffs)
         dd = other.degree
         inv_lead = s.inv(other.coeffs[-1])

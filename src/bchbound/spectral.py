@@ -40,10 +40,10 @@ import operator
 from collections import Counter
 from itertools import compress
 
-from .errors import CoefficientLeak, NotCosetClosed, RootMismatch
+from .errors import NotCosetClosed, RootMismatch
 from .galois import FieldSpec, RootOfUnity, poly_str
 from .modring import coset_closure, cyclotomic_cosets
-from .polyring import Poly, QuotientPoly, cyclic_shift
+from .polyring import Poly, QuotientPoly, cyclic_shift, leak
 from .records import Record
 
 # Column tables of at most this many bytes stay cached on their root;
@@ -103,9 +103,7 @@ def _transform(coeffs, root: RootOfUnity, sign: int):
     spec, n = root.spec, root.n
     top = max(coeffs) if coeffs else 0  # max(default=) is slower
     if top >= spec.order or coeffs and min(coeffs) < 0:
-        bad = next(c for c in coeffs if not 0 <= c < spec.order)
-        raise CoefficientLeak(f"value {bad} is not a packed element of "
-                              f"GF({spec.p}^{spec.m}), 0 to {spec.order - 1}")
+        raise leak(spec, coeffs)
     if len(coeffs) != n:
         coeffs = QuotientPoly.from_poly(Poly(spec, coeffs), n).coeffs
     if top < spec.p:

@@ -170,11 +170,14 @@ def golden_rows(table_id):
     return rows
 
 
-def recompute(table_id):
-    """Rebuild every row of a table from scratch, in golden order."""
+def recompute(table_id, golden=None):
+    """Rebuild every row of a table from scratch, in golden order; golden,
+    if given, is golden_rows(table_id), read by the coset tables."""
     if table_id in _BUILDERS:
         return _BUILDERS[table_id]()
-    return _recompute_coset_rows(golden_rows(table_id))
+    if golden is None:
+        golden = golden_rows(table_id)
+    return _recompute_coset_rows(golden)
 
 
 def write_csv(rows, stream):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -341,11 +342,22 @@ _FIRST_DUP = next(i for i, row in enumerate(_GOLDEN_SMALL) if row.flag == "dup")
 def test_reproduce_mismatch_is_exit_1(capsys, monkeypatch, fresh, exit_code,
                                       fails, lines):
     # exit 1 means a reproduction mismatch and nothing else
-    monkeypatch.setattr(tables, "recompute", lambda table: fresh)
+    monkeypatch.setattr(tables, "recompute", lambda table, golden: fresh)
     code, out, _ = run_cli(capsys, "reproduce", "small-codes")
     assert code == exit_code
     assert out.count("FAIL") == fails
     assert all(line in out for line in lines)
+
+
+@pytest.mark.parametrize("table", ["n17", "n15"])
+def test_reproduce_parses_the_golden_csv_once(capsys, monkeypatch, table):
+    # a coset table is rebuilt from the rows the comparison reads
+    parses, parse = [], tables.golden_rows
+    monkeypatch.setattr(tables, "golden_rows",
+                        lambda table_id: parses.append(table_id)
+                        or parse(table_id))
+    code, _, _ = run_cli(capsys, "reproduce", table)
+    assert code == 0 and parses == [table]
 
 
 def test_reproduce_emit_csv_matches_golden(capsys):
@@ -511,6 +523,26 @@ def test_bad_code_arguments_are_usage_errors(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cosets", "--n=--", "--q=2"],
+    ["factor", "--n=15", "--q=2", "--subfield=--"],
+    ["factor", "--n=15", "--q=2", "--field-poly=--"],
+    ["mindist", "--n=15", "--q=2", "--defining-set=--"],
+    ["mindist", "--n=15", "--q=2", "--defining-set=1", "--cap=--"],
+    ["forge", "--n=21", "--q=2", "--mode=divisor", "--quotient=--"],
+    ["forge", "--n=21", "--q=2", "--mode=divisor", "--quotient=7",
+     "--shift=--"],
+    ["forge", "--n=21", "--q=2", "--mode=congruence", "--coset=--"],
+])
+def test_an_option_given_as_dashes_is_a_usage_error(capsys, argv):
+    # argparse gives --opt=-- the value [] without calling the option's type
+    option = next(a for a in argv if a.endswith("=--")).partition("=")[0]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_USAGE
+    assert f"error: {option} needs a value, not --" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,error", [
     (["factor", "--n", "15", "--q", "2", "--subfield", "3"], "InvalidSubfield"),
     (["mindist", "--n", "65536", "--q", "3", "--defining-set", "1"],
@@ -522,3 +554,22 @@ def test_unsupported_inputs_are_named_errors(capsys, argv, error):
     code, _, err = run_cli(capsys, *argv)
     assert code == cli.EXIT_COMPUTE
     assert err.startswith(f"error: {error}")
+
+
+def test_cli_snapshot_digests_stdout_and_exit_code(capsys, monkeypatch):
+    # the script edits sys.path and the bytecode flag; restore both after
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts/cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", script)
+    snap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snap)
+    lines = snap.command_lines()
+    assert lines[:-8] == snap.jobs.frozen_argvs()
+    assert lines[-8:] == [["reproduce", table, "--emit", "json"]
+                          for table in tables.TABLE_IDS]
+    argv = ["cosets", "--n", "21", "--q", "2", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert snap.digest(argv) == (hashlib.sha256(out.encode()).hexdigest(), code)
+    assert snap.digest(["cosets", "--n", "21"]) == (
+        hashlib.sha256(b"").hexdigest(), 2)  # a usage error's SystemExit

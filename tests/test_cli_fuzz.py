@@ -147,6 +147,8 @@ def _exit_code(argv):
                 "--defining-set=coset:1"], False))
 @example(case=(["forge", "--n=15", "--q=2", "--mode=congruence", "--coset=3",
                 "--j"], True))
+@example(case=(["forge", "--n=3", "--q=2", "--mode=primitive",
+                "--subfield=--"], False))
 def test_cli_exits_by_contract(case):
     argv, cut = case
     if cut:

@@ -312,6 +312,19 @@ def test_int_coeffs_leak():
     assert padded.weight() == padded.to_poly().weight() == 2
 
 
+@pytest.mark.parametrize("p,m,n", [(2, 4, 15), (3, 2, 8)])
+def test_reducing_a_value_outside_the_field_is_named(p, m, n):
+    # field arithmetic on p^m itself looped for ever at p = 2 (the top
+    # term never cancels) and read past the log table at odd p
+    spec = build_field(p, m)
+    for bad in (spec.order, spec.order + 1, -1):
+        poly = Poly(spec, [spec.x()] + [0] * n + [bad])
+        with pytest.raises(CoefficientLeak, match=f"value {bad} "):
+            QuotientPoly.from_poly(poly, n)
+        with pytest.raises(CoefficientLeak, match=f"value {bad} "):
+            Poly(spec, [1, spec.x()]).divmod(poly)
+
+
 # Reference ring arithmetic on coefficient lists, with FieldSpec's add, sub,
 # mul and inv only: no integer shortcut for GF(p), no skipped terms.
 def _ref_trim(c):

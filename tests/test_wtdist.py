@@ -111,20 +111,25 @@ _SETUPS = [(7, 2), (9, 2), (15, 2), (17, 2), (21, 2), (23, 2), (31, 2),
 _MAX_DIM = {2: 16, 3: 7, 5: 4, 7: 4}
 
 
-@st.composite
-def _random_codes(draw):
-    n, q = draw(st.sampled_from(_SETUPS))
+def _draw_reps(draw, n, q, most):
+    """Coset representatives, taken in a drawn order while their cosets
+    hold at most most positions in all."""
     cosets = cyclotomic_cosets(n, q).cosets
     order = draw(st.permutations(range(len(cosets))))
     take = draw(st.integers(1, len(cosets)))
-    reps, dim = [], 0
+    reps, size = [], 0
     for idx in order[:take]:
-        if dim + len(cosets[idx]) <= _MAX_DIM[q]:
+        if size + len(cosets[idx]) <= most:
             reps.append(cosets[idx][0])
-            dim += len(cosets[idx])
-    if not reps:
-        reps = [0]
-    return _code_spanned_by(n, q, reps)
+            size += len(cosets[idx])
+    return reps
+
+
+@st.composite
+def _random_codes(draw, max_dim=lambda n, q: _MAX_DIM[q]):
+    n, q = draw(st.sampled_from(_SETUPS))
+    return _code_spanned_by(n, q, _draw_reps(draw, n, q, max_dim(n, q))
+                            or [0])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -278,3 +283,133 @@ def test_cap_limits_enumeration():
 
 def test_compiled_kernel_flag_is_bool():
     assert isinstance(wtdist.HAVE_COMPILED_KERNEL, bool)
+
+
+# --- the rotation bound 2w + 1 against the level bound alone ---
+
+def _level_search(code, cap, proven):
+    """_search with no rotation bound: the level bound ceil(n (w + 1) / k)
+    after each whole level is its only rule."""
+    n, k, q = code.n, code.dimension, code.q
+    step = q - 1
+    if q == 2:
+        mults = wtdist._binary_rows(code)
+        zero, add, weight = 0, int.__xor__, int.bit_count
+    else:
+        mults = [[c * a % q for a in row] for row in generator_rows(code)
+                 for c in range(1, q)]
+        zero = [0] * n
+        add = lambda u, v: [(a + b) % q for a, b in zip(u, v)]
+        weight = lambda u: n - u.count(0)
+    best, word, visited = n + 1, None, 0
+    lower = max(proven, -(-n // k))
+
+    def visit(acc, tail):
+        nonlocal best, word, visited
+        tail = tail[:cap - visited]
+        visited += len(tail)
+        weights = list(map(weight, map(add, itertools.repeat(acc), tail)))
+        low = min(weights)
+        if low < best:
+            best, word = low, add(acc, tail[weights.index(low)])
+        return best > lower and visited < cap
+
+    def walk(acc, start, depth):
+        if depth == 1:
+            return visit(acc, mults[step * start:])
+        for i in range(start, k - depth + 1):
+            for v in mults[step * i:step * i + step]:
+                if not walk(add(acc, v), i + 1, depth - 1):
+                    return False
+        return True
+
+    for w in range(1, k + 1):
+        if w == 1:
+            going = visit(zero, mults[::step])
+        else:
+            going = all(walk(mults[step * i], i + 1, w - 1)
+                        for i in range(k - w + 1))
+        if not going:
+            break
+        lower = max(lower, -(-n * (w + 1) // k))
+        if best <= lower:
+            break
+    if best <= lower:
+        lower = best
+    if q == 2:
+        word = [(word >> i) & 1 for i in range(n)]
+    return wtdist.DistanceResult(best, tuple(word), visited, lower, proven)
+
+
+def _outcome(res):
+    return res.distance, res.witness, res.lower_bound, res.exhaustive
+
+
+# k <= (n + 1) / 2, so n >= 2k - 1; odd q keeps q^k small enough to walk
+_ROTATION_DIM = {2: 16, 3: 9, 5: 6, 7: 5}
+
+
+@st.composite
+def _wide_codes(draw):
+    """Codes with n <= 2k - 2: at most (n - 2) / 2 zeros."""
+    n, q = draw(st.sampled_from(_SETUPS))
+    zeros = coset_closure(_draw_reps(draw, n, q, (n - 2) // 2), n, q)
+    return code_from_defining_set(n, q, _root(n, q), zeros)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code=_random_codes(lambda n, q: min((n + 1) // 2, _ROTATION_DIM[q])))
+def test_rotation_bound_matches_the_level_search(code):
+    assert code.n >= 2 * code.dimension - 1
+    for proven in (0, code.bch_bound):
+        old = _level_search(code, DEFAULT_CAP, proven)
+        new = _search(code, DEFAULT_CAP, proven)
+        assert new.exhaustive and _outcome(new) == _outcome(old)
+        assert new.enumerated <= old.enumerated
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(code=_wide_codes())
+def test_no_rotation_bound_below_2k_minus_1(code):
+    # two nonzeros can lie within k - 1 of each other both ways round
+    assert code.n <= 2 * code.dimension - 2
+    for proven in (0, code.bch_bound):
+        assert _search(code, DEFAULT_CAP, proven) == _level_search(
+            code, DEFAULT_CAP, proven)
+
+
+@pytest.mark.parametrize("n,q,zero_reps,old,new", [
+    (41, 2, [1], 7546, 2701),       # [41, 21, 9]: Delta = 6
+    (17, 2, [1], 45, 17),           # [17, 9, 5]: Delta = 4
+    (11, 3, [1], 36, 16),           # ternary Golay [11, 6, 5]: Delta = 4
+    (11, 3, [0, 1], 25, 25),        # [11, 5, 6]: n = 2k + 1, d even
+    (31, 2, [1, 3], 21, 21),        # [31, 21, 5] = Delta: n = 2k - 11
+    (16, 3, [0, 1, 10], 81, 81),    # [16, 9, 5]: n = 2k - 2, no bound
+])
+def test_rotation_bound_visit_counts(n, q, zero_reps, old, new):
+    code = code_from_defining_set(n, q, _root(n, q),
+                                  coset_closure(zero_reps, n, q))
+    res = min_distance(code)
+    assert res.exhaustive
+    assert _level_search(code, DEFAULT_CAP, res.bch_bound).enumerated == old
+    assert res.enumerated == new
+
+
+def _row_zero_ends(k, q):
+    """Messages visited when row 0's part of level w = 2, 3, ... ends."""
+    before = 0
+    for w in range(2, k + 1):
+        before += math.comb(k, w - 1) * (q - 1) ** (w - 2)
+        yield w, before + math.comb(k - 1, w - 1) * (q - 1) ** (w - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code=_random_codes(lambda n, q: min((n + 1) // 2, _MAX_DIM[q])))
+def test_caps_at_row_zero_keep_the_lower_bound_proven(code):
+    d = _brute_force_distance(code)
+    for w, end in _row_zero_ends(code.dimension, code.q):
+        if end > 3000:
+            break
+        for cap in (end - 1, end, end + 1):
+            for res in (_search(code, cap, 0), min_distance(code, cap=cap)):
+                _check_result(code, res, d, cap)
